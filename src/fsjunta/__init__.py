@@ -14,6 +14,7 @@ from .boolfn import (
     distance_to_best_junta_on,
     distance_to_k_junta,
     influence_direct,
+    lift,
     make_addressing,
     make_constant,
     make_junta,

@@ -64,6 +64,26 @@ def _wht_loop(a):  # pragma: no cover - exercised via the compiled wrapper
     return a
 
 
+def cell_sums(values: np.ndarray, positions) -> np.ndarray:
+    """Sum a length-2^n table over each assignment's fiber.
+
+    Entry ``a`` of the result is the sum of ``values[x]`` over the inputs
+    ``x`` whose bits at the strictly increasing ``positions`` spell ``a``
+    (bit ``t`` of ``a`` is bit ``positions[t]`` of ``x``). It is the adjoint
+    of :func:`fsjunta.boolfn.lift`: on the ``(2,)*n`` layout, where variable
+    ``i`` is axis ``n-1-i``, it sums out the axes of the other variables.
+    """
+    n = values.shape[0].bit_length() - 1
+    kept = {n - 1 - int(p) for p in positions}
+    dropped = [axis for axis in range(n) if axis not in kept]
+    cube = values.astype(np.int64).reshape((2,) * n)
+    # One axis at a time, outermost first: each sum then runs over long
+    # contiguous blocks, about ten times faster than one multi-axis sum.
+    for removed, axis in enumerate(dropped):
+        cube = cube.sum(axis=axis - removed)
+    return np.asarray(cube).reshape(-1)
+
+
 def junta_errors_numpy(values: np.ndarray, positions: np.ndarray) -> int:
     """Disagreement count between ``values`` and its closest function that
     depends only on the variables listed in ``positions``.
@@ -71,18 +91,8 @@ def junta_errors_numpy(values: np.ndarray, positions: np.ndarray) -> int:
     Per assignment to ``positions`` the closest function takes the majority
     value over the fiber, so the count is ``sum_cell min(#-1, #+1)``.
     """
-    total = values.shape[0]
-    t = positions.shape[0]
-    if t == 0:
-        neg = int(np.count_nonzero(values < 0))
-        return min(neg, total - neg)
-    idx = np.arange(total, dtype=np.int64)
-    proj = np.zeros(total, dtype=np.int64)
-    for b in range(t):
-        proj |= ((idx >> int(positions[b])) & 1) << b
-    cells = 1 << t
-    neg = np.bincount(proj[values < 0], minlength=cells)
-    fiber = total >> t
+    neg = cell_sums(values < 0, positions)
+    fiber = values.shape[0] >> positions.shape[0]
     return int(np.minimum(neg, fiber - neg).sum())
 
 

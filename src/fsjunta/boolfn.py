@@ -6,6 +6,11 @@ Conventions used throughout the package:
 * Variables are 0-indexed.
 * A point of {-1,+1}^n is encoded as a table index whose bit ``i`` equals
   ``(1 - x_i) / 2``, i.e. bit set means variable ``i`` is -1.
+* Bit layout: a 2^n table reshaped in C order to ``(2,)*n`` has variable
+  ``i`` on axis ``n-1-i``. :func:`lift` broadcasts a table over a subset of
+  the variables to all ``n`` of them on that layout, and
+  :func:`fsjunta._kernels.cell_sums` is its adjoint, summing out the other
+  axes; neither gathers bits index by index.
 
 Tables are capped at ``N_MAX`` variables so every table and spectrum stays
 dense and exact; larger ambient dimensions are served by the analytic
@@ -75,9 +80,24 @@ def project_assignments(indices: np.ndarray, positions: Sequence[int]) -> np.nda
 
 def project_index(x: int, positions: Sequence[int]) -> int:
     proj = 0
-    for t, p in enumerate(positions):
-        proj |= ((x >> p) & 1) << t
+    for p in reversed(positions):
+        proj = (proj << 1) | ((x >> p) & 1)
     return proj
+
+
+def lift(values: np.ndarray, positions: Sequence[int], n: int) -> np.ndarray:
+    """Read-only ``(2,)*n`` view of a table over ``positions`` as a function
+    of all ``n`` variables.
+
+    ``values[a]`` is the value at the assignment whose bit ``t`` is variable
+    ``positions[t]``; ``positions`` must be strictly increasing. Variable
+    ``i`` sits on axis ``n-1-i``, so ``.reshape(-1)`` gives the dense 2^n
+    table in index order.
+    """
+    shape = [1] * n
+    for p in positions:
+        shape[n - 1 - int(p)] = 2
+    return np.broadcast_to(np.asarray(values).reshape(shape), (2,) * n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,10 +187,15 @@ class JuntaSpec:
         return len(self.relevant)
 
 
+def as_junta(f: TruthTable | JuntaSpec) -> JuntaSpec:
+    """A table as the junta on all of its variables; a spec as it is."""
+    return f if isinstance(f, JuntaSpec) else JuntaSpec(f.n, range(f.n), f)
+
+
 def make_junta(spec: JuntaSpec) -> TruthTable:
     _check_n(spec.n)
-    proj = project_assignments(_indices(spec.n), spec.relevant)
-    return TruthTable(spec.n, spec.inner.values[proj])
+    return TruthTable(spec.n,
+                      lift(spec.inner.values, spec.relevant, spec.n).reshape(-1))
 
 
 def random_table(n: int, rng: np.random.Generator) -> TruthTable:
@@ -321,13 +346,10 @@ def best_junta_on(f: TruthTable, subset: int) -> TruthTable:
     if not 0 <= subset < (1 << f.n):
         raise ValueError("subset mask out of range")
     positions = vars_from_mask(subset)
-    t = len(positions)
-    proj = project_assignments(_indices(f.n), positions)
-    cells = 1 << t
-    neg = np.bincount(proj[f.values < 0], minlength=cells)
-    fiber = (1 << f.n) >> t
+    neg = _kernels.cell_sums(f.values < 0, positions)
+    fiber = (1 << f.n) >> len(positions)
     majority = np.where(neg * 2 > fiber, -1, 1).astype(np.int8)
-    return TruthTable(f.n, majority[proj])
+    return TruthTable(f.n, lift(majority, positions, f.n).reshape(-1))
 
 
 def distance_to_best_junta_on(f: TruthTable, subset: int) -> Fraction:

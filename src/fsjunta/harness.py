@@ -24,9 +24,9 @@ import numpy as np
 
 from .boolfn import (
     N_MAX,
+    JuntaSpec,
     TruthTable,
     make_parity,
-    make_junta,
     mask_from_vars,
     random_junta_spec,
     random_table,
@@ -38,6 +38,7 @@ from .boolfn import (
 from .fourier import wht
 from .learning import hypothesis_error, learn_junta
 from .oracles import (
+    EX_N_MAX,
     ExOracle,
     FsOracle,
     derive_seed,
@@ -182,8 +183,11 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     elif cfg.kind == "learn-junta":
         _require(cfg, "k")
         _require(cfg, "n")
-        if cfg.n > N_MAX:
-            raise ConfigError(f"learn-junta needs n <= {N_MAX} for exact scoring")
+        if cfg.n > EX_N_MAX:
+            raise ConfigError(
+                f"learn-junta needs n <= {EX_N_MAX} for int64 uniform examples")
+        if cfg.k > N_MAX:
+            raise ConfigError(f"learn-junta needs k <= {N_MAX} for a dense inner table")
     elif cfg.kind in ("lb-collision", "lb-tv"):
         _require(cfg, "r")
         _require(cfg, "n")
@@ -290,16 +294,15 @@ def _run_learn_junta(cfg: ExperimentConfig, clock: _TrialClock):
         rng = make_rng(cfg.seed, cfg.kind, trial)
         if cfg.target == "junta":
             spec = random_junta_spec(cfg.n, cfg.k, rng)
-            table = make_junta(spec)
             fs = FsOracle.from_junta(spec, rng)
         else:
             chosen = rng.choice(cfg.n, size=cfg.k, replace=False)
-            mask = mask_from_vars(chosen)
-            table = make_parity(cfg.n, mask)
-            fs = FsOracle.for_parity(cfg.n, mask, rng)
-        ex = ExOracle(table, rng)
+            spec = JuntaSpec(cfg.n, sorted(int(v) for v in chosen),
+                             make_parity(cfg.k, (1 << cfg.k) - 1))
+            fs = FsOracle.for_parity(cfg.n, mask_from_vars(chosen), rng)
+        ex = ExOracle.from_junta(spec, rng)
         report = learn_junta(fs, ex, cfg.k, cfg.eps, cfg.max_ex)
-        error = (float(hypothesis_error(table, report.hypothesis))
+        error = (float(hypothesis_error(spec, report.hypothesis))
                  if report.hypothesis is not None else math.nan)
         rows.append({
             "trial": trial,

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import TruthTable, project_assignments, project_index
+from .boolfn import N_MAX, JuntaSpec, TruthTable, as_junta, lift, project_index
 from .oracles import ExOracle, FsOracle
 
 #: Entry value marking a hypothesis cell that no example ever reached.
@@ -64,9 +64,11 @@ class Hypothesis:
         """Dense evaluation over all 2^n inputs."""
         if self.vars and self.vars[-1] >= n:
             raise ValueError("hypothesis reads variables beyond n")
-        filled = np.where(self.entries == UNSEEN, -1, self.entries).astype(np.int8)
-        proj = project_assignments(np.arange(1 << n, dtype=np.int64), self.vars)
-        return filled[proj]
+        return lift(self._filled(), self.vars, n).reshape(-1)
+
+    def _filled(self) -> np.ndarray:
+        """Entries with unseen cells set to their value, -1."""
+        return np.where(self.entries == UNSEEN, -1, self.entries).astype(np.int8)
 
     def to_text(self) -> str:
         head = "A=" + ",".join(str(v) for v in self.vars)
@@ -97,6 +99,12 @@ class LearnerReport:
     ex_calls: int
     encountered_fraction: Fraction
     status: str
+
+
+def coverage_target(cells: int, eps: float) -> int:
+    """ceil((1 - eps/3) * cells), exact for the decimal ``eps``: the number
+    of assignments stage 2 must see."""
+    return math.ceil((1 - Fraction(str(eps)) / 3) * cells)
 
 
 def stage_one_draws(k: int, eps: float) -> int:
@@ -150,7 +158,7 @@ def learn_junta(fs: FsOracle, ex: ExOracle, k: int, eps: float,
 
     cap = default_example_cap(k, eps) if max_ex_draws is None else max_ex_draws
     cells = 1 << len(found)
-    needed = math.ceil((1 - eps / 3) * cells)
+    needed = coverage_target(cells, eps)
     entries = np.zeros(cells, dtype=np.int8)
     seen = 0
     draws = 0
@@ -166,7 +174,23 @@ def learn_junta(fs: FsOracle, ex: ExOracle, k: int, eps: float,
                          Fraction(seen, cells), status)
 
 
-def hypothesis_error(f: TruthTable, hypothesis: Hypothesis) -> Fraction:
-    """Exact disagreement fraction between a table and a hypothesis."""
-    predicted = hypothesis.values_on(f.n)
-    return Fraction(int(np.count_nonzero(predicted != f.values)), 1 << f.n)
+def hypothesis_error(f: TruthTable | JuntaSpec, hypothesis: Hypothesis) -> Fraction:
+    """Exact disagreement fraction between a target and a hypothesis.
+
+    A junta target is scored on the union of its relevant variables and the
+    hypothesis variables, never on all 2^n inputs: both functions depend
+    only on that union, so every union point stands for equally many inputs
+    and the fraction is exact. A table is the junta on all its variables.
+    """
+    spec = as_junta(f)
+    if hypothesis.vars and hypothesis.vars[-1] >= spec.n:
+        raise ValueError("hypothesis reads variables beyond n")
+    union = sorted(set(spec.relevant) | set(hypothesis.vars))
+    if len(union) > N_MAX:
+        raise ValueError(
+            f"scoring needs {len(union)} > {N_MAX} variables in the union")
+    slot = {v: t for t, v in enumerate(union)}
+    m = len(union)
+    target = lift(spec.inner.values, [slot[v] for v in spec.relevant], m)
+    predicted = lift(hypothesis._filled(), [slot[v] for v in hypothesis.vars], m)
+    return Fraction(int(np.count_nonzero(predicted != target)), 1 << m)

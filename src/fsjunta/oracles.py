@@ -30,6 +30,9 @@ from .boolfn import (
     JuntaSpec,
     RejectInstance,
     TruthTable,
+    as_junta,
+    project_assignments,
+    project_index,
     sample_accept_instance,
     sample_reject_instance,
 )
@@ -38,6 +41,9 @@ from .fourier import Spectrum, wht
 # Batched draws come back as an int64 array when every mask fits; beyond
 # that they fall back to a list of Python ints.
 _MASK64_BITS = 62
+
+#: Largest ambient n for uniform examples: x is one int64 draw below 2^n.
+EX_N_MAX = 62
 
 
 def derive_seed(master: int, label: str, index: int = 0) -> int:
@@ -82,23 +88,40 @@ class FsFailure(RuntimeError):
 
 
 class ExOracle:
-    """Uniform labeled examples (x, f(x))."""
+    """Uniform labeled examples (x, f(x)) of a junta target.
 
-    def __init__(self, table: TruthTable, rng: np.random.Generator,
+    ``x`` is one uniform draw below 2^n and its label is read from the
+    inner table at x's relevant bits, so no 2^n table is built and n may be
+    up to ``EX_N_MAX``. A truth table is the junta on all of its variables,
+    so ``ExOracle(table, ...)`` draws exactly what ``from_junta`` does.
+    """
+
+    def __init__(self, target: TruthTable | JuntaSpec, rng: np.random.Generator,
                  counter: QueryCounter | None = None):
-        self.table = table
+        self.spec = as_junta(target)
+        if self.spec.n > EX_N_MAX:
+            raise ValueError(
+                f"uniform examples need n <= {EX_N_MAX}, got {self.spec.n}")
         self._rng = rng
         self.counter = counter if counter is not None else QueryCounter()
 
+    @classmethod
+    def from_junta(cls, spec: JuntaSpec, rng: np.random.Generator,
+                   counter: QueryCounter | None = None) -> "ExOracle":
+        """Examples of a junta over any ambient n up to ``EX_N_MAX``."""
+        return cls(spec, rng, counter)
+
     def draw(self) -> LabeledExample:
-        x = int(self._rng.integers(0, 1 << self.table.n))
+        x = int(self._rng.integers(0, 1 << self.spec.n))
         self.counter.ex_calls += 1
-        return LabeledExample(x, int(self.table.values[x]))
+        cell = project_index(x, self.spec.relevant)
+        return LabeledExample(x, int(self.spec.inner.values[cell]))
 
     def draw_batch(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        xs = self._rng.integers(0, 1 << self.table.n, size=m, dtype=np.int64)
+        xs = self._rng.integers(0, 1 << self.spec.n, size=m, dtype=np.int64)
         self.counter.ex_calls += m
-        return xs, self.table.values[xs]
+        cells = project_assignments(xs, self.spec.relevant)
+        return xs, self.spec.inner.values[cells]
 
     @property
     def calls(self) -> int:

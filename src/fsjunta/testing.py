@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -42,7 +43,8 @@ def _union_mask(masks) -> int:
 
 def junta_test(fs: FsOracle, k: int, eps: float) -> TesterVerdict:
     """Non-adaptive junta tester: ceil(10(k+1)/eps) draws, accept iff the
-    union of returned subsets has at most k variables.
+    union of returned subsets has at most k variables. The draw count is
+    exact for the decimal ``eps``: k=28, eps=0.29 gives 1000, not 1001.
 
     A function depending on at most k variables is always accepted, since
     no subset with a nonzero weight can leave its relevant set.
@@ -51,7 +53,7 @@ def junta_test(fs: FsOracle, k: int, eps: float) -> TesterVerdict:
         raise ValueError("k must be non-negative")
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
-    m = math.ceil(10 * (k + 1) / eps)
+    m = math.ceil(10 * (k + 1) / Fraction(str(eps)))
     exposed = frozenset(vars_from_mask(_union_mask(fs.draw_batch(m))))
     decision = ACCEPT if len(exposed) <= k else REJECT
     return TesterVerdict(decision, m, exposed)

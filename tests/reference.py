@@ -72,3 +72,26 @@ def naive_best_junta_errors(table, positions) -> int:
         neg = sum(1 for v in values if v < 0)
         errors += min(neg, len(values) - neg)
     return errors
+
+
+def naive_lift(values, positions, n) -> np.ndarray:
+    """Dense 2^n table of a function given on ``positions``, by gathering
+    each index's bits at those positions."""
+    out = np.empty(1 << n, dtype=np.asarray(values).dtype)
+    for x in range(1 << n):
+        cell = 0
+        for t, p in enumerate(positions):
+            cell |= ((x >> p) & 1) << t
+        out[x] = values[cell]
+    return out
+
+
+def naive_cell_sums(values, positions) -> np.ndarray:
+    """Per-assignment sums of a table over each assignment's fiber."""
+    out = np.zeros(1 << len(positions), dtype=np.int64)
+    for x in range(len(values)):
+        cell = 0
+        for t, p in enumerate(positions):
+            cell |= ((x >> p) & 1) << t
+        out[cell] += int(values[x])
+    return out

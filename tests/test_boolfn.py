@@ -14,6 +14,7 @@ from fsjunta import (
     distance_to_best_junta_on,
     distance_to_k_junta,
     influence_direct,
+    lift,
     make_addressing,
     make_constant,
     make_junta,
@@ -26,7 +27,14 @@ from fsjunta import (
     vars_from_mask,
 )
 
-from reference import naive_best_junta_errors, naive_distance, naive_influence
+from fsjunta.boolfn import project_assignments, project_index
+
+from reference import (
+    naive_best_junta_errors,
+    naive_distance,
+    naive_influence,
+    naive_lift,
+)
 
 AND2 = TruthTable(2, np.array([1, 1, 1, -1], dtype=np.int8))
 
@@ -255,6 +263,45 @@ class TestInfluence:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             influence_direct(AND2, 2)
+
+
+class TestLift:
+    def test_matches_the_gather_reference_on_random_subsets(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            t = int(rng.integers(0, n + 1))
+            positions = sorted(int(p) for p in rng.choice(n, size=t, replace=False))
+            values = rng.integers(-5, 6, size=1 << t)
+            got = lift(values, positions, n)
+            assert got.shape == (2,) * n
+            assert np.array_equal(got.reshape(-1),
+                                  naive_lift(values, positions, n))
+
+    def test_variable_i_is_axis_n_minus_1_minus_i(self):
+        got = lift(np.array([10, 20]), [1], 3)
+        assert got[0, 1, 0] == 20 and got[1, 0, 1] == 10
+
+    def test_is_a_read_only_view(self):
+        values = np.array([1, -1, -1, 1], dtype=np.int8)
+        got = lift(values, [0, 2], 4)
+        assert np.shares_memory(got, values)
+        assert not got.flags.writeable
+
+    def test_project_index_matches_the_batch_projection(self):
+        rng = np.random.default_rng(47)
+        positions = (0, 5, 17, 40, 61)
+        xs = rng.integers(0, 1 << 62, size=200, dtype=np.int64)
+        batch = project_assignments(xs, positions)
+        assert [project_index(int(x), positions) for x in xs] == batch.tolist()
+
+    def test_make_junta_matches_the_gather_reference(self):
+        rng = np.random.default_rng(43)
+        for _ in range(10):
+            spec = random_junta_spec(9, int(rng.integers(1, 6)), rng)
+            assert np.array_equal(
+                make_junta(spec).values,
+                naive_lift(spec.inner.values, spec.relevant, spec.n))
 
 
 class TestBestJunta:

@@ -127,6 +127,23 @@ class TestRunExperiment:
         assert result.summary["mean_error"] == 0.0
         assert result.summary["success_rate"] == 1.0
 
+    @pytest.mark.parametrize("target", ["junta", "parity"])
+    def test_learn_junta_past_the_table_cap(self, tmp_path, target):
+        # no 2^n table is built, so n is bounded by the int64 example draw
+        cfg = ExperimentConfig("learn-junta", seed=5, trials=5, k=4, n=60,
+                               target=target, out=str(tmp_path / "big.csv"))
+        result = run_experiment(cfg)
+        assert all(row["status"] == "success" for row in result.rows)
+        if target == "parity":
+            assert all(row["error"] == 0 for row in result.rows)
+
+    def test_learn_junta_caps(self):
+        validate_config(ExperimentConfig("learn-junta", k=4, n=62))
+        with pytest.raises(ConfigError):
+            validate_config(ExperimentConfig("learn-junta", k=4, n=63))
+        with pytest.raises(ConfigError):
+            validate_config(ExperimentConfig("learn-junta", k=25, n=40))
+
     def test_lb_collision_quick_run(self, tmp_path):
         cfg = ExperimentConfig("lb-collision", seed=4, trials=60, r=6, n=80,
                                num_draws=50, out=str(tmp_path / "lc.csv"))

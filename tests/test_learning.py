@@ -8,6 +8,8 @@ from fsjunta import (
     ExOracle,
     FsOracle,
     Hypothesis,
+    JuntaSpec,
+    N_MAX,
     QueryCounter,
     TruthTable,
     find_influential,
@@ -25,6 +27,7 @@ from fsjunta.learning import (
     STAGE_TWO_TIMEOUT,
     SUCCESS,
     UNSEEN,
+    coverage_target,
     default_example_cap,
     stage_one_draws,
 )
@@ -223,6 +226,70 @@ class TestLearnJunta:
             report = learn_junta(fs, ex, 5, 0.1, max_ex_draws=cap)
             fractions.append(report.encountered_fraction)
         assert fractions == sorted(fractions)
+
+
+class TestCoverageTarget:
+    def test_learn_benchmark_config(self):
+        # k=8, eps=0.1: ceil((1 - 1/30) * 256) = ceil(247.47)
+        assert coverage_target(256, 0.1) == 248
+
+    def test_exact_when_the_product_is_an_integer(self):
+        assert coverage_target(4, 0.75) == 3
+        assert coverage_target(1024, 0.375) == 896
+        assert coverage_target(10, 0.3) == 9
+
+    def test_matches_rational_arithmetic(self):
+        for cells in (1, 2, 16, 256, 1 << 20):
+            for eps in (0.01, 0.1, 0.29, 0.3, 0.5, 0.9, 1.0):
+                exact = (1 - Fraction(str(eps)) / 3) * cells
+                assert coverage_target(cells, eps) == math.ceil(exact)
+
+
+class TestSpecScoring:
+    """hypothesis_error on a JuntaSpec scores on the union of the relevant
+    and hypothesis variables; it must equal scoring the dense table."""
+
+    @staticmethod
+    def random_hypothesis(n, rng):
+        t = int(rng.integers(0, min(n, 5) + 1))
+        variables = sorted(int(v) for v in rng.choice(n, size=t, replace=False))
+        entries = rng.choice([-1, UNSEEN, 1], size=1 << t).astype(np.int8)
+        return Hypothesis(tuple(variables), entries)
+
+    def test_matches_the_dense_table(self):
+        rng = np.random.default_rng(31)
+        for _ in range(60):
+            n = int(rng.integers(2, 13))
+            spec = random_junta_spec(n, int(rng.integers(1, min(n, 6) + 1)), rng)
+            h = self.random_hypothesis(n, rng)
+            assert hypothesis_error(spec, h) == hypothesis_error(make_junta(spec), h)
+
+    def test_hypotheses_outside_relevant_with_unseen_cells(self):
+        rng = np.random.default_rng(32)
+        spec = random_junta_spec(10, 3, rng)
+        outside = sorted(set(range(10)) - set(spec.relevant))[:3]
+        mixed = sorted(outside[:2] + [spec.relevant[0]])
+        for variables in (outside, mixed):
+            entries = rng.choice([-1, UNSEEN, 1], size=8).astype(np.int8)
+            entries[0] = UNSEEN
+            h = Hypothesis(tuple(variables), entries)
+            assert hypothesis_error(spec, h) == hypothesis_error(make_junta(spec), h)
+
+    def test_ambient_dimension_past_the_table_cap(self):
+        spec = JuntaSpec(60, (5, 59), AND2)
+        assert hypothesis_error(spec, Hypothesis((5, 59), AND2.values)) == 0
+        assert hypothesis_error(spec, Hypothesis((7,), np.array([1, 1]))) == Fraction(1, 4)
+
+    def test_union_past_the_table_cap_is_refused(self):
+        spec = JuntaSpec(60, tuple(range(N_MAX)), make_constant(N_MAX, 1))
+        h = Hypothesis((N_MAX,), np.array([1, 1], dtype=np.int8))
+        with pytest.raises(ValueError):
+            hypothesis_error(spec, h)
+
+    def test_hypothesis_beyond_n_is_refused(self):
+        spec = JuntaSpec(6, (0, 1), AND2)
+        with pytest.raises(ValueError):
+            hypothesis_error(spec, Hypothesis((6,), np.array([1, 1], dtype=np.int8)))
 
 
 class TestHypothesis:

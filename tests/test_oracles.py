@@ -7,6 +7,7 @@ from fsjunta import (
     FsFailure,
     FsOracle,
     FsOracleError,
+    JuntaSpec,
     MqOracle,
     QueryCounter,
     RejectInstance,
@@ -29,6 +30,7 @@ from fsjunta import (
     wht,
 )
 from fsjunta.oracles import (
+    EX_N_MAX,
     accept_transcript,
     format_transcript,
     masks_from_transcript,
@@ -155,6 +157,37 @@ class TestClassicalOracles:
         _, pvalue, _ = chi_square_gof(counts, np.ones(16))
         assert pvalue > P_FLOOR
         assert np.array_equal(ys, make_parity(4, 0b1).values[xs])
+
+    def test_ex_from_junta_matches_the_dense_oracle(self):
+        rng = np.random.default_rng(11)
+        for trial in range(10):
+            spec = random_junta_spec(int(rng.integers(4, 13)),
+                                     int(rng.integers(1, 5)), rng)
+            table_ex = ExOracle(make_junta(spec), make_rng(trial, "exj"))
+            junta_ex = ExOracle.from_junta(spec, make_rng(trial, "exj"))
+            for _ in range(20):
+                assert junta_ex.draw() == table_ex.draw()
+            xs_table, ys_table = table_ex.draw_batch(500)
+            xs_junta, ys_junta = junta_ex.draw_batch(500)
+            assert np.array_equal(xs_junta, xs_table)
+            assert np.array_equal(ys_junta, ys_table)
+            assert ys_junta.dtype == ys_table.dtype
+            assert junta_ex.calls == table_ex.calls == 520
+
+    def test_ex_from_junta_beyond_the_table_cap(self):
+        spec = JuntaSpec(EX_N_MAX, (3, 40, EX_N_MAX - 1), make_parity(3, 0b111))
+        ex = ExOracle.from_junta(spec, make_rng(0, "exbig"))
+        xs, ys = ex.draw_batch(2000)
+        bits = ((xs >> 3) ^ (xs >> 40) ^ (xs >> (EX_N_MAX - 1))) & 1
+        assert np.array_equal(ys, 1 - 2 * bits)
+        assert int(xs.max()) >= 1 << (EX_N_MAX - 2)
+        x, y = ex.draw()
+        assert y == 1 - 2 * (((x >> 3) ^ (x >> 40) ^ (x >> (EX_N_MAX - 1))) & 1)
+
+    def test_ex_rejects_an_ambient_n_past_int64(self):
+        spec = JuntaSpec(EX_N_MAX + 1, (0,), make_parity(1, 1))
+        with pytest.raises(ValueError):
+            ExOracle.from_junta(spec, make_rng(0, "exbad"))
 
     def test_mq_returns_exact_labels_and_counts(self):
         counter = QueryCounter()

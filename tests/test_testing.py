@@ -51,6 +51,13 @@ class TestJuntaTest:
             assert counter.fs_calls == verdict.queries_used
             assert verdict.exposed <= set(spec.relevant)
 
+    def test_draw_count_is_exact_for_decimal_eps(self):
+        # 10 * 29 / 0.29 is 1000.0000000000001 in floating point
+        fs = FsOracle.for_parity(30, 0, make_rng(0, "exact"))
+        assert junta_test(fs, 28, 0.29).queries_used == 1000
+        fs = FsOracle.for_parity(1024, 0, make_rng(0, "exact"))
+        assert junta_test(fs, 12, 0.1).queries_used == 1300
+
     def test_rejects_a_parity_on_k_plus_one_variables(self):
         # the sampler is a point mass, so one draw already exposes k+1
         for k in (1, 3, 6):
