@@ -1,63 +1,41 @@
 """Experiment orchestration: seeded trials, CSV rows, summary sidecars.
 
-Every trial is a pure function of (config, trial index): its generator is
-seeded with ``derive_seed(master_seed, "<kind>[:<source>]", trial)``, so any
-single row can be replayed in isolation and re-running a config reproduces
-the output byte for byte apart from wall-time fields. Trials run
-sequentially here; since rows never share state, any parallel schedule
-would produce the identical file after the index-ordered merge.
+Every kind but fs-dist runs through one loop, :func:`_run_trials`. Each
+trial index runs once per *arm* of the kind (a source or a scenario, or a
+single unnamed arm) on a generator seeded with ``derive_seed(master_seed,
+"<kind>[:<arm>]", trial)``, so any single row can be replayed in isolation
+and re-running a config reproduces the output byte for byte apart from
+wall-time fields. The loop owns the seeding, the time budget and each row's
+``wall_ms``; a kind supplies only its trial and summary functions. fs-dist
+is a single draw batch from one table.
 
-Output format: one CSV row per trial (header is a stable interface) plus a
-``<out>.summary`` sidecar of ``key = value`` lines holding the aggregate
-rates, their two-sided Chernoff half-width at the configured delta, and
-timing.
+Output format: one CSV row per trial and arm (header is a stable interface)
+plus a ``<out>.summary`` sidecar of ``key = value`` lines holding the
+aggregate rates, their two-sided Chernoff half-width at the configured
+delta, and timing.
 """
 from __future__ import annotations
 
 import csv
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .boolfn import (
-    N_MAX,
-    JuntaSpec,
-    TruthTable,
-    make_parity,
-    mask_from_vars,
-    random_junta_spec,
-    random_table,
-    realize_accept,
-    realize_reject,
-    sample_accept_instance,
-    sample_reject_instance,
-)
+from .boolfn import (N_MAX, JuntaSpec, TruthTable, make_parity, mask_from_vars,
+                     random_junta_spec, random_table, realize_accept, realize_reject,
+                     sample_accept_instance, sample_reject_instance)
 from .fourier import wht
 from .learning import hypothesis_error, learn_junta
-from .oracles import (
-    EX_N_MAX,
-    ExOracle,
-    FsOracle,
-    derive_seed,
-    fresh_accept_source,
-    fresh_reject_source,
-    make_rng,
-)
+from .oracles import (EX_N_MAX, ExOracle, FsOracle, derive_seed, fresh_accept_source,
+                      fresh_reject_source, make_rng)
 from .stats import chernoff_halfwidth, chi_square_gof
-from .testing import (
-    ACCEPT,
-    REJECT,
-    SCENARIO_I,
-    SCENARIO_II,
-    collision_features,
-    junta_test,
-    sample_scenario,
-    scenario_distinguisher,
-    scenario_oracle,
-)
+from .testing import (ACCEPT, REJECT, SCENARIO_I, SCENARIO_II, collision_features,
+                      histogram_tv, junta_test, sample_scenario, scenario_distinguisher,
+                      scenario_oracle)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -148,9 +126,23 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
     return validate_config(ExperimentConfig(**coerced))
 
 
-def _require(cfg: ExperimentConfig, name: str) -> None:
-    if getattr(cfg, name) is None:
-        raise ConfigError(f"{cfg.kind} needs parameter {name!r}")
+def _require(cfg: ExperimentConfig, *names: str) -> None:
+    for name in names:
+        if getattr(cfg, name) is None:
+            raise ConfigError(f"{cfg.kind} needs parameter {name!r}")
+
+
+def _fit_family(cfg: ExperimentConfig, family: str) -> ExperimentConfig:
+    """Check that an accept or reject instance fits in ``cfg.n`` variables;
+    an unset n becomes the smallest that fits."""
+    if cfg.r < 1:
+        raise ConfigError("the instance families need r >= 1")
+    room = cfg.r + (1 << cfg.r if family == REJECT else 1 << (cfg.r - 1))
+    if cfg.n is None:
+        return replace(cfg, n=room)
+    if cfg.n < room:
+        raise ConfigError(f"the {family} family at r={cfg.r} needs n >= {room}")
+    return cfg
 
 
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
@@ -162,40 +154,47 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("delta must be in (0, 1]")
     if not 0 < cfg.eps <= 1:
         raise ConfigError("eps must be in (0, 1]")
+    for name in ("k", "n", "r", "num_draws"):
+        if getattr(cfg, name) is not None and getattr(cfg, name) < 0:
+            raise ConfigError(f"{name} must be non-negative")
 
     if cfg.kind in _TARGETS:
-        default_target = _TARGETS[cfg.kind][0]
         if cfg.target is None:
-            cfg = replace(cfg, target=default_target)
+            cfg = replace(cfg, target=_TARGETS[cfg.kind][0])
         elif cfg.target not in _TARGETS[cfg.kind]:
             raise ConfigError(
                 f"{cfg.kind} target must be one of {_TARGETS[cfg.kind]}")
 
     if cfg.kind == "test-junta":
         if cfg.target in ("junta", "parity"):
-            _require(cfg, "k")
-            _require(cfg, "n")
+            _require(cfg, "k", "n")
+            if cfg.target == "junta" and not 1 <= cfg.k <= min(cfg.n, N_MAX):
+                raise ConfigError(f"a junta target needs 1 <= k <= min(n, {N_MAX})")
+            if cfg.target == "parity" and cfg.k >= cfg.n:
+                raise ConfigError("a parity on k + 1 variables needs k < n")
         else:
-            _require(cfg, "r")
-            _require(cfg, "n")
+            _require(cfg, "r", "n")
+            cfg = _fit_family(cfg, cfg.target)
             if cfg.k is None:
                 cfg = replace(cfg, k=cfg.r + (1 << (cfg.r - 1)))
     elif cfg.kind == "learn-junta":
-        _require(cfg, "k")
-        _require(cfg, "n")
+        _require(cfg, "k", "n")
+        if not 1 <= cfg.k <= cfg.n:
+            raise ConfigError("learn-junta needs 1 <= k <= n")
         if cfg.n > EX_N_MAX:
             raise ConfigError(
                 f"learn-junta needs n <= {EX_N_MAX} for int64 uniform examples")
         if cfg.k > N_MAX:
             raise ConfigError(f"learn-junta needs k <= {N_MAX} for a dense inner table")
     elif cfg.kind in ("lb-collision", "lb-tv"):
-        _require(cfg, "r")
-        _require(cfg, "n")
-        _require(cfg, "num_draws")
-        if cfg.n < cfg.r + (1 << cfg.r):
-            raise ConfigError("need n >= r + 2^r so both families fit")
+        _require(cfg, "r", "n", "num_draws")
+        cfg = _fit_family(cfg, REJECT)  # the larger of the two families
     elif cfg.kind == "scenario":
         _require(cfg, "k")
+        if not 1 <= cfg.k < N_MAX:
+            raise ConfigError(f"scenario needs 1 <= k < {N_MAX} for a dense table")
+        if cfg.c < 1:
+            raise ConfigError("scenario needs c >= 1")
         if cfg.n is None:
             cfg = replace(cfg, n=cfg.k + 1)
         if cfg.n < cfg.k + 1:
@@ -207,9 +206,9 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
             _require(cfg, "n")
         elif cfg.target in ("reject", "accept"):
             _require(cfg, "r")
-            if cfg.n is None:
-                leaves = 1 << cfg.r if cfg.target == "reject" else 1 << (cfg.r - 1)
-                cfg = replace(cfg, n=cfg.r + leaves)
+            cfg = _fit_family(cfg, cfg.target)
+        if cfg.target != "and2" and not 1 <= cfg.n <= N_MAX:
+            raise ConfigError(f"fs-dist needs 1 <= n <= {N_MAX} for a dense table")
     return cfg
 
 
@@ -223,223 +222,159 @@ class ExperimentResult:
     summary_path: Path | None = None
 
 
-def _rate(rows: list[dict], predicate) -> float:
-    if not rows:
-        return math.nan
-    return sum(1 for row in rows if predicate(row)) / len(rows)
+def _mean(values) -> float:
+    values = list(values)
+    return sum(values) / len(values) if values else math.nan
 
 
-class _TrialClock:
-    """Tracks elapsed time and flags when the optional budget is spent."""
-
-    def __init__(self, max_seconds: float | None):
-        self.start = time.perf_counter()
-        self.max_seconds = max_seconds
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.start
-
-    def exhausted(self) -> bool:
-        return self.max_seconds is not None and self.elapsed() >= self.max_seconds
-
-
-def _run_test_junta(cfg: ExperimentConfig, clock: _TrialClock):
-    rows = []
-    truncated = False
+def _test_junta_trial(cfg: ExperimentConfig, rng: np.random.Generator, arm) -> dict:
+    if cfg.target == "junta":
+        fs = FsOracle.from_junta(random_junta_spec(cfg.n, cfg.k, rng), rng)
+    elif cfg.target == "parity":
+        chosen = rng.choice(cfg.n, size=cfg.k + 1, replace=False)
+        fs = FsOracle.for_parity(cfg.n, mask_from_vars(chosen), rng)
+    elif cfg.target == "reject":
+        fs = FsOracle.for_reject(sample_reject_instance(cfg.r, cfg.n, rng), rng)
+    else:
+        fs = FsOracle.for_accept(sample_accept_instance(cfg.r, cfg.n, rng), rng)
+    verdict = junta_test(fs, cfg.k, cfg.eps)
     expected = ACCEPT if cfg.target in ("junta", "accept") else REJECT
-    for trial in range(cfg.trials):
-        if clock.exhausted():
-            truncated = True
-            break
-        t0 = time.perf_counter()
-        seed = derive_seed(cfg.seed, cfg.kind, trial)
-        rng = make_rng(cfg.seed, cfg.kind, trial)
-        if cfg.target == "junta":
-            fs = FsOracle.from_junta(random_junta_spec(cfg.n, cfg.k, rng), rng)
-        elif cfg.target == "parity":
-            chosen = rng.choice(cfg.n, size=cfg.k + 1, replace=False)
-            fs = FsOracle.for_parity(cfg.n, mask_from_vars(chosen), rng)
-        elif cfg.target == "reject":
-            fs = FsOracle.for_reject(sample_reject_instance(cfg.r, cfg.n, rng), rng)
-        else:
-            fs = FsOracle.for_accept(sample_accept_instance(cfg.r, cfg.n, rng), rng)
-        verdict = junta_test(fs, cfg.k, cfg.eps)
-        rows.append({
-            "trial": trial,
-            "seed": seed,
-            "decision": verdict.decision,
-            "correct": int(verdict.decision == expected),
-            "num_exposed": len(verdict.exposed),
-            "queries": verdict.queries_used,
-            "wall_ms": round(1e3 * (time.perf_counter() - t0), 3),
-        })
-    summary = {
-        "accept_rate": _rate(rows, lambda r: r["decision"] == ACCEPT),
-        "reject_rate": _rate(rows, lambda r: r["decision"] == REJECT),
-        "correct_rate": _rate(rows, lambda r: r["correct"]),
+    return {
+        "decision": verdict.decision,
+        "correct": int(verdict.decision == expected),
+        "num_exposed": len(verdict.exposed),
+        "queries": verdict.queries_used,
+    }
+
+
+def _test_junta_summary(cfg: ExperimentConfig, rows: list[dict]) -> dict:
+    return {
+        "accept_rate": _mean(r["decision"] == ACCEPT for r in rows),
+        "reject_rate": _mean(r["decision"] == REJECT for r in rows),
+        "correct_rate": _mean(r["correct"] for r in rows),
         "primary_metric": "correct_rate",
     }
-    return rows, summary, truncated
 
 
-def _run_learn_junta(cfg: ExperimentConfig, clock: _TrialClock):
-    rows = []
-    truncated = False
-    for trial in range(cfg.trials):
-        if clock.exhausted():
-            truncated = True
-            break
-        t0 = time.perf_counter()
-        seed = derive_seed(cfg.seed, cfg.kind, trial)
-        rng = make_rng(cfg.seed, cfg.kind, trial)
-        if cfg.target == "junta":
-            spec = random_junta_spec(cfg.n, cfg.k, rng)
-            fs = FsOracle.from_junta(spec, rng)
-        else:
-            chosen = rng.choice(cfg.n, size=cfg.k, replace=False)
-            spec = JuntaSpec(cfg.n, sorted(int(v) for v in chosen),
-                             make_parity(cfg.k, (1 << cfg.k) - 1))
-            fs = FsOracle.for_parity(cfg.n, mask_from_vars(chosen), rng)
-        ex = ExOracle.from_junta(spec, rng)
-        report = learn_junta(fs, ex, cfg.k, cfg.eps, cfg.max_ex)
-        error = (float(hypothesis_error(spec, report.hypothesis))
-                 if report.hypothesis is not None else math.nan)
-        rows.append({
-            "trial": trial,
-            "seed": seed,
-            "status": report.status,
-            "fs_calls": report.fs_calls,
-            "ex_calls": report.ex_calls,
-            "encountered_fraction": float(report.encountered_fraction),
-            "error": error,
-            "wall_ms": round(1e3 * (time.perf_counter() - t0), 3),
-        })
-    scored = [r for r in rows if not math.isnan(r["error"])]
-    summary = {
-        "success_rate": _rate(rows, lambda r: r["status"] == "success"),
-        "mean_error": (sum(r["error"] for r in scored) / len(scored)
-                       if scored else math.nan),
-        "within_eps_rate": _rate(rows, lambda r: (not math.isnan(r["error"]))
-                                 and r["error"] <= cfg.eps),
+def _learn_junta_trial(cfg: ExperimentConfig, rng: np.random.Generator, arm) -> dict:
+    if cfg.target == "junta":
+        spec = random_junta_spec(cfg.n, cfg.k, rng)
+        fs = FsOracle.from_junta(spec, rng)
+    else:
+        chosen = rng.choice(cfg.n, size=cfg.k, replace=False)
+        spec = JuntaSpec(cfg.n, sorted(int(v) for v in chosen),
+                         make_parity(cfg.k, (1 << cfg.k) - 1))
+        fs = FsOracle.for_parity(cfg.n, mask_from_vars(chosen), rng)
+    ex = ExOracle.from_junta(spec, rng)
+    report = learn_junta(fs, ex, cfg.k, cfg.eps, cfg.max_ex)
+    return {
+        "status": report.status,
+        "fs_calls": report.fs_calls,
+        "ex_calls": report.ex_calls,
+        "encountered_fraction": float(report.encountered_fraction),
+        "error": (float(hypothesis_error(spec, report.hypothesis))
+                  if report.hypothesis is not None else math.nan),
+    }
+
+
+def _learn_junta_summary(cfg: ExperimentConfig, rows: list[dict]) -> dict:
+    return {
+        "success_rate": _mean(r["status"] == "success" for r in rows),
+        "mean_error": _mean(r["error"] for r in rows if not math.isnan(r["error"])),
+        "within_eps_rate": _mean(r["error"] <= cfg.eps for r in rows),
         "primary_metric": "within_eps_rate",
     }
-    return rows, summary, truncated
 
 
-def _run_lb_collision(cfg: ExperimentConfig, clock: _TrialClock):
-    rows = []
-    truncated = False
-    sources = ((ACCEPT, fresh_accept_source(cfg.r, cfg.n)),
-               (REJECT, fresh_reject_source(cfg.r, cfg.n)))
-    for trial in range(cfg.trials):
-        if clock.exhausted():
-            truncated = True
-            break
-        for name, source in sources:
-            t0 = time.perf_counter()
-            label = f"{cfg.kind}:{name}"
-            seed = derive_seed(cfg.seed, label, trial)
-            rng = make_rng(cfg.seed, label, trial)
-            slots, x_masks = source(rng, cfg.num_draws)
-            collisions, inconsistent = collision_features(slots, x_masks)
-            guess = REJECT if inconsistent else ACCEPT
-            rows.append({
-                "trial": trial,
-                "seed": seed,
-                "source": name,
-                "guess": guess,
-                "correct": int(guess == name),
-                "collisions": collisions,
-                "inconsistent": int(inconsistent),
-                "wall_ms": round(1e3 * (time.perf_counter() - t0), 3),
-            })
-    summary = {
-        "success_rate": _rate(rows, lambda r: r["correct"]),
-        "success_rate_accept": _rate([r for r in rows if r["source"] == ACCEPT],
-                                     lambda r: r["correct"]),
-        "success_rate_reject": _rate([r for r in rows if r["source"] == REJECT],
-                                     lambda r: r["correct"]),
+_SOURCES = {ACCEPT: fresh_accept_source, REJECT: fresh_reject_source}
+
+
+def _collision_trial(cfg: ExperimentConfig, rng: np.random.Generator, source: str) -> dict:
+    """One transcript from a fresh instance of ``source``, as its features."""
+    transcript = _SOURCES[source](cfg.r, cfg.n)(rng, cfg.num_draws)
+    collisions, inconsistent = collision_features(*transcript)
+    return {"source": source, "collisions": collisions,
+            "inconsistent": int(inconsistent)}
+
+
+def _lb_collision_trial(cfg: ExperimentConfig, rng: np.random.Generator,
+                        source: str) -> dict:
+    row = _collision_trial(cfg, rng, source)
+    guess = REJECT if row["inconsistent"] else ACCEPT
+    row.update(guess=guess, correct=int(guess == source))
+    return row
+
+
+def _lb_collision_summary(cfg: ExperimentConfig, rows: list[dict]) -> dict:
+    return {
+        "success_rate": _mean(r["correct"] for r in rows),
+        "success_rate_accept": _mean(r["correct"] for r in rows if r["source"] == ACCEPT),
+        "success_rate_reject": _mean(r["correct"] for r in rows if r["source"] == REJECT),
         "primary_metric": "success_rate",
     }
-    return rows, summary, truncated
 
 
-def _run_lb_tv(cfg: ExperimentConfig, clock: _TrialClock):
-    rows = []
-    truncated = False
-    sources = ((ACCEPT, fresh_accept_source(cfg.r, cfg.n)),
-               (REJECT, fresh_reject_source(cfg.r, cfg.n)))
-    for trial in range(cfg.trials):
-        if clock.exhausted():
-            truncated = True
-            break
-        for name, source in sources:
-            t0 = time.perf_counter()
-            label = f"{cfg.kind}:{name}"
-            seed = derive_seed(cfg.seed, label, trial)
-            rng = make_rng(cfg.seed, label, trial)
-            collisions, inconsistent = collision_features(
-                *source(rng, cfg.num_draws))
-            rows.append({
-                "trial": trial,
-                "seed": seed,
-                "source": name,
-                "collisions": collisions,
-                "inconsistent": int(inconsistent),
-                "wall_ms": round(1e3 * (time.perf_counter() - t0), 3),
-            })
-    hist: dict[str, dict] = {ACCEPT: {}, REJECT: {}}
+def _lb_tv_summary(cfg: ExperimentConfig, rows: list[dict]) -> dict:
+    hist = {ACCEPT: Counter(), REJECT: Counter()}
     for row in rows:
-        key = (row["collisions"], row["inconsistent"])
-        hist[row["source"]][key] = hist[row["source"]].get(key, 0) + 1
-    per_source = max(1, len(rows) // 2)
-    keys = set(hist[ACCEPT]) | set(hist[REJECT])
-    tv = 0.5 * sum(abs(hist[ACCEPT].get(z, 0) - hist[REJECT].get(z, 0))
-                   for z in keys) / per_source
-    summary = {
-        "tv_lower_bound": tv,
+        hist[row["source"]][row["collisions"], row["inconsistent"]] += 1
+    return {
+        "tv_lower_bound": histogram_tv(hist[ACCEPT], hist[REJECT],
+                                       max(1, len(rows) // 2)),
         "accept_inconsistent_total": sum(
             r["inconsistent"] for r in rows if r["source"] == ACCEPT),
         "primary_metric": "tv_lower_bound",
     }
-    return rows, summary, truncated
 
 
-def _run_scenario(cfg: ExperimentConfig, clock: _TrialClock):
-    rows = []
-    truncated = False
-    for trial in range(cfg.trials):
-        if clock.exhausted():
-            truncated = True
-            break
-        for which in (SCENARIO_I, SCENARIO_II):
-            t0 = time.perf_counter()
-            label = f"{cfg.kind}:{which}"
-            seed = derive_seed(cfg.seed, label, trial)
-            rng = make_rng(cfg.seed, label, trial)
-            fn = sample_scenario(which, cfg.k, cfg.n, rng)
-            fs = scenario_oracle(fn, rng)
-            guess = scenario_distinguisher(fs, cfg.k, cfg.c)
-            rows.append({
-                "trial": trial,
-                "seed": seed,
-                "scenario": which,
-                "guess": guess,
-                "correct": int(guess == which),
-                "queries": fs.calls,
-                "wall_ms": round(1e3 * (time.perf_counter() - t0), 3),
-            })
-    summary = {
-        "correct_rate": _rate(rows, lambda r: r["correct"]),
-        "correct_rate_scenario_i": _rate(
-            [r for r in rows if r["scenario"] == SCENARIO_I],
-            lambda r: r["correct"]),
-        "correct_rate_scenario_ii": _rate(
-            [r for r in rows if r["scenario"] == SCENARIO_II],
-            lambda r: r["correct"]),
+def _scenario_trial(cfg: ExperimentConfig, rng: np.random.Generator, which: str) -> dict:
+    fs = scenario_oracle(sample_scenario(which, cfg.k, cfg.n, rng), rng)
+    guess = scenario_distinguisher(fs, cfg.k, cfg.c)
+    return {"scenario": which, "guess": guess, "correct": int(guess == which),
+            "queries": fs.calls}
+
+
+def _scenario_summary(cfg: ExperimentConfig, rows: list[dict]) -> dict:
+    return {
+        "correct_rate": _mean(r["correct"] for r in rows),
+        "correct_rate_scenario_i": _mean(
+            r["correct"] for r in rows if r["scenario"] == SCENARIO_I),
+        "correct_rate_scenario_ii": _mean(
+            r["correct"] for r in rows if r["scenario"] == SCENARIO_II),
         "primary_metric": "correct_rate",
     }
-    return rows, summary, truncated
+
+
+# kind -> (arms, trial(cfg, rng, arm) -> row fields, summary(cfg, rows)).
+# Every arm runs once per trial index, on its own "<kind>:<arm>" stream;
+# the single arm None uses the stream "<kind>".
+_TRIALS = {
+    "test-junta": ((None,), _test_junta_trial, _test_junta_summary),
+    "learn-junta": ((None,), _learn_junta_trial, _learn_junta_summary),
+    "lb-collision": ((ACCEPT, REJECT), _lb_collision_trial, _lb_collision_summary),
+    "lb-tv": ((ACCEPT, REJECT), _collision_trial, _lb_tv_summary),
+    "scenario": ((SCENARIO_I, SCENARIO_II), _scenario_trial, _scenario_summary),
+}
+
+
+def _run_trials(cfg: ExperimentConfig, start: float) -> tuple[list[dict], bool]:
+    """All rows of a trial kind, and whether the time budget cut them short.
+    Seeds are derived here, outside the trial functions, so a trace sees
+    each derivation as the start of an arm's stream."""
+    arms, trial_fn, _ = _TRIALS[cfg.kind]
+    rows = []
+    for trial in range(cfg.trials):
+        if (cfg.max_seconds is not None
+                and time.perf_counter() - start >= cfg.max_seconds):
+            return rows, True
+        for arm in arms:
+            t0 = time.perf_counter()
+            label = cfg.kind if arm is None else f"{cfg.kind}:{arm}"
+            row = {"trial": trial, "seed": derive_seed(cfg.seed, label, trial)}
+            row.update(trial_fn(cfg, make_rng(cfg.seed, label, trial), arm))
+            row["wall_ms"] = round(1e3 * (time.perf_counter() - t0), 3)
+            rows.append(row)
+    return rows, False
 
 
 def _fs_dist_table(cfg: ExperimentConfig, rng: np.random.Generator):
@@ -452,7 +387,8 @@ def _fs_dist_table(cfg: ExperimentConfig, rng: np.random.Generator):
     return realize_accept(sample_accept_instance(cfg.r, cfg.n, rng))
 
 
-def _run_fs_dist(cfg: ExperimentConfig, clock: _TrialClock):
+def _run_fs_dist(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
+    """One draw batch from one table's sampler, binned per subset mask."""
     rng = make_rng(cfg.seed, cfg.kind, 0)
     table = _fs_dist_table(cfg, rng)
     weights = wht(table).coeffs.astype(np.int64) ** 2
@@ -460,13 +396,9 @@ def _run_fs_dist(cfg: ExperimentConfig, clock: _TrialClock):
     masks = np.asarray(fs.draw_batch(cfg.num_draws))
     observed = np.bincount(masks, minlength=weights.size)
     stat, pvalue, dof = chi_square_gof(observed, weights)
-    rows = []
-    for mask in np.flatnonzero((weights > 0) | (observed > 0)):
-        rows.append({
-            "mask": int(mask),
-            "expected_weight": int(weights[mask]),
-            "observed": int(observed[mask]),
-        })
+    rows = [{"mask": int(mask), "expected_weight": int(weights[mask]),
+             "observed": int(observed[mask])}
+            for mask in np.flatnonzero((weights > 0) | (observed > 0))]
     summary = {
         "chi2": stat,
         "dof": dof,
@@ -475,24 +407,19 @@ def _run_fs_dist(cfg: ExperimentConfig, clock: _TrialClock):
         "draws": cfg.num_draws,
         "primary_metric": "p_value",
     }
-    return rows, summary, False
-
-
-_RUNNERS = {
-    "test-junta": _run_test_junta,
-    "learn-junta": _run_learn_junta,
-    "lb-collision": _run_lb_collision,
-    "lb-tv": _run_lb_tv,
-    "scenario": _run_scenario,
-    "fs-dist": _run_fs_dist,
-}
+    return rows, summary
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Execute all trials of a validated config and write the outputs."""
     cfg = validate_config(cfg)
-    clock = _TrialClock(cfg.max_seconds)
-    rows, summary, truncated = _RUNNERS[cfg.kind](cfg, clock)
+    start = time.perf_counter()
+    if cfg.kind == "fs-dist":
+        rows, summary = _run_fs_dist(cfg)
+        truncated = False
+    else:
+        rows, truncated = _run_trials(cfg, start)
+        summary = _TRIALS[cfg.kind][2](cfg, rows)
 
     full_summary = {
         "kind": cfg.kind,
@@ -502,11 +429,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         "truncated": int(truncated),
     }
     full_summary.update(summary)
-    rate_rows = len(rows)
     full_summary["chernoff_delta"] = cfg.delta
     full_summary["interval_halfwidth"] = (
-        chernoff_halfwidth(rate_rows, cfg.delta) if rate_rows else math.nan)
-    full_summary["elapsed_s"] = round(clock.elapsed(), 6)
+        chernoff_halfwidth(len(rows), cfg.delta) if rows else math.nan)
+    full_summary["elapsed_s"] = round(time.perf_counter() - start, 6)
 
     result = ExperimentResult(cfg, rows, full_summary, truncated)
     if cfg.out is not None:

@@ -21,7 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import N_MAX, JuntaSpec, TruthTable, as_junta, lift, project_index
+from .boolfn import (N_MAX, JuntaSpec, TruthTable, as_junta, lift, project_index,
+                     union_mask, vars_from_mask)
 from .oracles import ExOracle, FsOracle
 
 #: Entry value marking a hypothesis cell that no example ever reached.
@@ -123,22 +124,7 @@ def find_influential(fs: FsOracle, k: int, eps: float) -> tuple[int, ...]:
         raise ValueError("k must be at least 1")
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
-    masks = fs.draw_batch(stage_one_draws(k, eps))
-    union = 0
-    if isinstance(masks, np.ndarray):
-        if masks.size:
-            union = int(np.bitwise_or.reduce(masks))
-    else:
-        for mask in masks:
-            union |= int(mask)
-    out = []
-    i = 0
-    while union:
-        if union & 1:
-            out.append(i)
-        union >>= 1
-        i += 1
-    return tuple(out)
+    return vars_from_mask(union_mask(fs.draw_batch(stage_one_draws(k, eps))))
 
 
 def learn_junta(fs: FsOracle, ex: ExOracle, k: int, eps: float,

@@ -35,6 +35,7 @@ from .boolfn import (
     project_index,
     sample_accept_instance,
     sample_reject_instance,
+    vars_from_mask,
 )
 from .fourier import Spectrum, wht
 
@@ -236,18 +237,8 @@ def fresh_accept_source(r: int, n: int) -> TranscriptSource:
 
 def format_transcript(masks) -> str:
     """Transcript log: one ``fs<TAB><sorted variable list>`` line per draw."""
-    lines = []
-    for mask in masks:
-        mask = int(mask)
-        variables = []
-        i = 0
-        while mask:
-            if mask & 1:
-                variables.append(str(i))
-            mask >>= 1
-            i += 1
-        lines.append("fs\t" + " ".join(variables) + "\n")
-    return "".join(lines)
+    return "".join("fs\t" + " ".join(str(v) for v in vars_from_mask(mask)) + "\n"
+                   for mask in masks)
 
 
 class FsOracle:

@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 
 def chernoff_trials(lam: float, delta: float) -> int:
@@ -33,8 +32,12 @@ def chi_square_gof(observed: np.ndarray, weights: np.ndarray) -> tuple[float, fl
     weights; returns (statistic, p-value, degrees of freedom).
 
     Bins with zero weight must be empty: any observation there makes the
-    null impossible and the p-value is exactly 0.
+    null impossible and the p-value is exactly 0. scipy is imported here,
+    not at module level: it is most of the package's import time, and only
+    fs-dist runs this test.
     """
+    from scipy import stats as scipy_stats
+
     observed = np.asarray(observed, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     if observed.shape != weights.shape:
@@ -48,5 +51,5 @@ def chi_square_gof(observed: np.ndarray, weights: np.ndarray) -> tuple[float, fl
         return 0.0, 1.0, 0
     probs = weights[support] / weights[support].sum()
     expected = probs * obs.sum()
-    stat, pvalue = _scipy_stats.chisquare(obs, expected)
+    stat, pvalue = scipy_stats.chisquare(obs, expected)
     return float(stat), float(pvalue), int(obs.size) - 1

@@ -13,11 +13,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
-from .boolfn import JuntaSpec, TruthTable, make_junta, random_table, vars_from_mask
+from .boolfn import (JuntaSpec, TruthTable, make_junta, random_table, union_mask,
+                     vars_from_mask)
 from .oracles import FsOracle, QueryCounter, TranscriptSource
 
 ACCEPT = "accept"
@@ -33,14 +33,6 @@ class TesterVerdict:
     exposed: frozenset[int]
 
 
-def _union_mask(masks) -> int:
-    if isinstance(masks, np.ndarray):
-        if masks.size == 0:
-            return 0
-        return int(np.bitwise_or.reduce(masks))
-    return reduce(lambda a, b: a | int(b), masks, 0)
-
-
 def junta_test(fs: FsOracle, k: int, eps: float) -> TesterVerdict:
     """Non-adaptive junta tester: ceil(10(k+1)/eps) draws, accept iff the
     union of returned subsets has at most k variables. The draw count is
@@ -54,7 +46,7 @@ def junta_test(fs: FsOracle, k: int, eps: float) -> TesterVerdict:
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
     m = math.ceil(10 * (k + 1) / Fraction(str(eps)))
-    exposed = frozenset(vars_from_mask(_union_mask(fs.draw_batch(m))))
+    exposed = frozenset(vars_from_mask(union_mask(fs.draw_batch(m))))
     decision = ACCEPT if len(exposed) <= k else REJECT
     return TesterVerdict(decision, m, exposed)
 
@@ -110,7 +102,7 @@ def scenario_distinguisher(fs: FsOracle, k: int, c: float = 8.0) -> str:
     if c < 1:
         raise ValueError("need c >= 1")
     m = math.ceil(c * math.log2(k + 2))
-    exposed = vars_from_mask(_union_mask(fs.draw_batch(m)))
+    exposed = vars_from_mask(union_mask(fs.draw_batch(m)))
     return SCENARIO_I if len(exposed) >= k + 1 else SCENARIO_II
 
 
@@ -162,5 +154,11 @@ def transcript_tv_estimate(source_a: TranscriptSource,
     for _ in range(trials):
         hist_a[collision_features(*source_a(rng, num_draws))] += 1
         hist_b[collision_features(*source_b(rng, num_draws))] += 1
+    return histogram_tv(hist_a, hist_b, trials)
+
+
+def histogram_tv(hist_a: Counter, hist_b: Counter, trials: int) -> float:
+    """Total-variation distance between two empirical histograms, each
+    counting ``trials`` observations."""
     keys = hist_a.keys() | hist_b.keys()
     return 0.5 * sum(abs(hist_a[z] - hist_b[z]) for z in keys) / trials

@@ -27,7 +27,7 @@ from fsjunta import (
     vars_from_mask,
 )
 
-from fsjunta.boolfn import project_assignments, project_index
+from fsjunta.boolfn import project_assignments, project_index, union_mask
 
 from reference import (
     naive_best_junta_errors,
@@ -110,6 +110,12 @@ class TestParity:
         assert vars_from_mask(mask_from_vars([0, 3, 7])) == (0, 3, 7)
         assert mask_from_vars(()) == 0
         assert vars_from_mask(0) == ()
+
+    def test_union_mask_of_arrays_and_wide_ints(self):
+        assert union_mask(np.array([0b0011, 0b0110], dtype=np.int64)) == 0b0111
+        assert union_mask(np.zeros(0, dtype=np.int64)) == 0
+        assert union_mask([1 << 70, 1 << 3, 1 << 70]) == (1 << 70) | (1 << 3)
+        assert union_mask([]) == 0
 
 
 class TestJunta:

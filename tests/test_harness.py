@@ -1,9 +1,14 @@
 import csv
+import hashlib
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fsjunta
 from fsjunta import chernoff_halfwidth, chernoff_trials
 from fsjunta.cli import main as cli_main
 from fsjunta.harness import (
@@ -24,6 +29,20 @@ def read_rows(path):
 
 def strip_walltime(rows):
     return [{k: v for k, v in row.items() if k != "wall_ms"} for row in rows]
+
+
+def canonical_digests(out_path):
+    """sha256 prefixes of the CSV without ``wall_ms`` and of the summary
+    without ``elapsed_s``: the parts of a run that its config fixes."""
+    with open(out_path, newline="") as fh:
+        table = list(csv.reader(fh))
+    drop = table[0].index("wall_ms") if "wall_ms" in table[0] else None
+    lines = [",".join(f for i, f in enumerate(row) if i != drop) + "\r\n"
+             for row in table]
+    summary = [line + "\n" for line in Path(f"{out_path}.summary").read_text().splitlines()
+               if not line.startswith("elapsed_s =")]
+    return tuple(hashlib.sha256("".join(part).encode()).hexdigest()[:16]
+                 for part in (lines, summary))
 
 
 def read_summary(path):
@@ -219,6 +238,47 @@ class TestRunExperiment:
         assert read_summary(result.summary_path)["truncated"] == "1"
 
 
+# One small config per kind and target, at seed 7, with the digests of its
+# outputs before the per-kind runners became one trial loop. They also pin
+# numpy's generator streams and, for fs-dist, scipy's chi-square p-value.
+PINNED = {
+    "test-junta-junta": (dict(kind="test-junta", target="junta", k=3, n=10, trials=20),
+                         ("349eb2b3536c6875", "bfb9049fd24459ff")),
+    "test-junta-parity": (dict(kind="test-junta", target="parity", k=2, n=12, trials=20),
+                          ("d1b0f7342707f562", "a49caab3df61037b")),
+    "test-junta-reject": (dict(kind="test-junta", target="reject", r=3, n=20, trials=10),
+                          ("863cbb16d3887826", "6bd77422f74bd4b2")),
+    "test-junta-accept": (dict(kind="test-junta", target="accept", r=3, n=20, trials=10),
+                          ("8656767d416d6f53", "1888b524c391fbfb")),
+    "learn-junta-junta": (dict(kind="learn-junta", target="junta", k=3, n=12, trials=10),
+                          ("e3b6856266675e7b", "651510936916f194")),
+    "learn-junta-parity": (dict(kind="learn-junta", target="parity", k=3, n=40, trials=10),
+                           ("2ec12a31ee3818f9", "651510936916f194")),
+    "lb-collision": (dict(kind="lb-collision", r=4, n=30, num_draws=12, trials=30),
+                     ("9e72f05919d2601f", "a2fc32ea3108e180")),
+    "lb-tv": (dict(kind="lb-tv", r=4, n=30, num_draws=12, trials=60),
+              ("0c2dc2c55e19fb61", "1ebbefa2ec2c4a18")),
+    "scenario": (dict(kind="scenario", k=6, n=10, trials=15),
+                 ("be5cd3af9d95b3a9", "687f81da5ba87784")),
+    "fs-dist-and2": (dict(kind="fs-dist", target="and2", num_draws=2000),
+                     ("a6e3a9949f829c89", "0a32051da9aeb26b")),
+    "fs-dist-random": (dict(kind="fs-dist", target="random", n=6, num_draws=5000),
+                       ("540e59e46adf7f67", "5702d479a2493db2")),
+    "fs-dist-reject": (dict(kind="fs-dist", target="reject", r=2, num_draws=5000),
+                       ("fcbdaf76f35ff5ee", "f0a968cf54e37b49")),
+    "fs-dist-accept": (dict(kind="fs-dist", target="accept", r=2, num_draws=5000),
+                       ("dafe59a2e68f3d9f", "2c67b1893bc2bb05")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_outputs_match_the_pinned_digests(tmp_path, name):
+    params, digests = PINNED[name]
+    result = run_experiment(ExperimentConfig(seed=7, out=str(tmp_path / f"{name}.csv"),
+                                             **params))
+    assert canonical_digests(result.out_path) == digests
+
+
 class TestCli:
     def test_successful_run_exits_zero(self, tmp_path, capsys):
         code = cli_main(["test-junta", "--k", "2", "--n", "8", "--trials", "5",
@@ -255,3 +315,29 @@ class TestCli:
                          "--trials", "500", "--max-seconds", "0",
                          "--out", str(tmp_path / "b.csv")])
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        "learn-junta --k 5 --n 3",
+        "learn-junta --k 0 --n 3",
+        "test-junta --k 5 --n 3",
+        "test-junta --target parity --k 3 --n 3",
+        "scenario --k 0",
+        "lb-tv --r 0 --n 10 --num-draws 3",
+        "fs-dist --target random --n 30",
+        "fs-dist --target reject --r 0",
+        "scenario --k 3 --c 0.5",
+    ])
+    def test_out_of_range_parameters_exit_two(self, tmp_path, capsys, argv):
+        code = cli_main(argv.split() + ["--trials", "2",
+                                        "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy is most of the import time; only fs-dist's chi-square needs it
+        probe = "import sys, fsjunta.cli; print('scipy' in sys.modules)"
+        src = str(Path(fsjunta.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from fsjunta.testing import (
     SCENARIO_I,
     SCENARIO_II,
     collision_features,
+    histogram_tv,
     scenario_oracle,
 )
 
@@ -253,3 +255,10 @@ class TestTvEstimate:
             fresh_accept_source(3, 16), fresh_reject_source(3, 16),
             40, 500, rng)
         assert 0.0 <= estimate <= 1.0
+
+    def test_histogram_distance_is_exact(self):
+        a = Counter({(0, 0): 3, (1, 0): 1})
+        b = Counter({(0, 0): 1, (1, 1): 3})
+        assert histogram_tv(a, b, 4) == 0.75
+        assert histogram_tv(a, a, 4) == 0.0
+        assert histogram_tv(Counter({"x": 2}), Counter({"y": 2}), 2) == 1.0
