@@ -53,8 +53,6 @@ from .oracles import (
     MqOracle,
     QueryCounter,
     derive_seed,
-    fs_draw_accept_analytic,
-    fs_draw_reject_analytic,
     make_rng,
 )
 from .stats import chernoff_halfwidth, chernoff_trials, chi_square_gof

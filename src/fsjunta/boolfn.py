@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -58,12 +57,9 @@ def vars_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def union_mask(masks) -> int:
-    """Bitwise OR of subset masks: an int64 array, or Python ints (masks
-    past bit 62)."""
-    if isinstance(masks, np.ndarray):
-        return int(np.bitwise_or.reduce(masks)) if masks.size else 0
-    return reduce(lambda a, b: a | int(b), masks, 0)
+def union_mask(masks: np.ndarray) -> int:
+    """Bitwise OR of a batch of subset masks (int64 or object array)."""
+    return int(np.bitwise_or.reduce(masks, initial=0))
 
 
 def _check_n(n: int) -> None:

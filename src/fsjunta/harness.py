@@ -154,7 +154,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("delta must be in (0, 1]")
     if not 0 < cfg.eps <= 1:
         raise ConfigError("eps must be in (0, 1]")
-    for name in ("k", "n", "r", "num_draws"):
+    for name in ("k", "n", "r", "num_draws", "max_ex"):
         if getattr(cfg, name) is not None and getattr(cfg, name) < 0:
             raise ConfigError(f"{name} must be non-negative")
 
@@ -209,6 +209,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
             cfg = _fit_family(cfg, cfg.target)
         if cfg.target != "and2" and not 1 <= cfg.n <= N_MAX:
             raise ConfigError(f"fs-dist needs 1 <= n <= {N_MAX} for a dense table")
+    if cfg.kind in ("lb-collision", "lb-tv", "fs-dist") and cfg.num_draws < 1:
+        raise ConfigError(f"{cfg.kind} needs num_draws >= 1")
     return cfg
 
 
@@ -370,8 +372,9 @@ def _run_trials(cfg: ExperimentConfig, start: float) -> tuple[list[dict], bool]:
         for arm in arms:
             t0 = time.perf_counter()
             label = cfg.kind if arm is None else f"{cfg.kind}:{arm}"
-            row = {"trial": trial, "seed": derive_seed(cfg.seed, label, trial)}
-            row.update(trial_fn(cfg, make_rng(cfg.seed, label, trial), arm))
+            seed = derive_seed(cfg.seed, label, trial)
+            row = {"trial": trial, "seed": seed}
+            row.update(trial_fn(cfg, np.random.default_rng(seed), arm))
             row["wall_ms"] = round(1e3 * (time.perf_counter() - t0), 3)
             rows.append(row)
     return rows, False
@@ -393,8 +396,7 @@ def _run_fs_dist(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
     table = _fs_dist_table(cfg, rng)
     weights = wht(table).coeffs.astype(np.int64) ** 2
     fs = FsOracle.from_table(table, rng)
-    masks = np.asarray(fs.draw_batch(cfg.num_draws))
-    observed = np.bincount(masks, minlength=weights.size)
+    observed = np.bincount(fs.draw_batch(cfg.num_draws), minlength=weights.size)
     stat, pvalue, dof = chi_square_gof(observed, weights)
     rows = [{"mask": int(mask), "expected_weight": int(weights[mask]),
              "observed": int(observed[mask])}

@@ -14,8 +14,10 @@ binary search over integer prefix sums; no draw is ever approximate.
 For the addressing-based instance families the subset distribution is known
 in closed form, so ``for_reject``/``for_accept`` sample it directly without
 a truth table. That is what makes experiments at large ambient dimension
-possible. Subsets are plain Python int bitmasks throughout, which have no
-machine-word limit.
+possible. A batch of subset masks (bit i set iff variable i is in S) is one
+1-D array of dtype ``mask_dtype(n)``: int64 up to n = 62, else ``object``
+holding exact Python ints. numpy's bit operators, indexing and reductions
+act on both alike, so every sampler has one code path.
 """
 from __future__ import annotations
 
@@ -39,12 +41,17 @@ from .boolfn import (
 )
 from .fourier import Spectrum, wht
 
-# Batched draws come back as an int64 array when every mask fits; beyond
-# that they fall back to a list of Python ints.
+# Masks over at most this many variables are batched as int64; wider ones
+# as an object array of Python ints.
 _MASK64_BITS = 62
 
 #: Largest ambient n for uniform examples: x is one int64 draw below 2^n.
 EX_N_MAX = 62
+
+
+def mask_dtype(n: int) -> np.dtype:
+    """dtype of a batch of subset masks over n variables."""
+    return np.dtype(np.int64 if n <= _MASK64_BITS else object)
 
 
 def derive_seed(master: int, label: str, index: int = 0) -> int:
@@ -183,25 +190,10 @@ def accept_transcript(inst: AcceptInstance, rng: np.random.Generator,
 
 
 def masks_from_transcript(slots: np.ndarray, x_masks: np.ndarray, r: int,
-                          n: int) -> np.ndarray | list[int]:
+                          n: int) -> np.ndarray:
     """Assemble full subset masks: address bits plus the wired variable."""
-    if n <= _MASK64_BITS:
-        return x_masks | np.left_shift(np.int64(1), r + slots)
-    return [int(x) | (1 << (r + int(j))) for j, x in zip(slots, x_masks)]
-
-
-def fs_draw_reject_analytic(inst: RejectInstance,
-                            rng: np.random.Generator) -> int:
-    """One subset draw for a reject instance, valid for any ambient n."""
-    slots, xs = reject_transcript(inst, rng, 1)
-    return int(xs[0]) | (1 << (inst.r + int(slots[0])))
-
-
-def fs_draw_accept_analytic(inst: AcceptInstance,
-                            rng: np.random.Generator) -> int:
-    """One subset draw for an accept instance, valid for any ambient n."""
-    slots, xs = accept_transcript(inst, rng, 1)
-    return int(xs[0]) | (1 << (inst.r + int(slots[0])))
+    dtype = mask_dtype(n)
+    return x_masks.astype(dtype) | np.left_shift(1, (r + slots).astype(dtype))
 
 
 TranscriptSource = Callable[[np.random.Generator, int],
@@ -215,6 +207,13 @@ def transcript_source(inst: RejectInstance | AcceptInstance) -> TranscriptSource
     if isinstance(inst, AcceptInstance):
         return lambda rng, m: accept_transcript(inst, rng, m)
     raise TypeError(f"not an instance family member: {inst!r}")
+
+
+def _instance_masks(inst: RejectInstance | AcceptInstance,
+                    rng: np.random.Generator) -> Callable[[int], np.ndarray]:
+    """Batch sampler of an instance's full subset masks."""
+    source = transcript_source(inst)
+    return lambda m: masks_from_transcript(*source(rng, m), inst.r, inst.n)
 
 
 def fresh_reject_source(r: int, n: int) -> TranscriptSource:
@@ -252,7 +251,7 @@ class FsOracle:
 
     def __init__(self, n: int, rng: np.random.Generator,
                  counter: QueryCounter | None, failure_prob: float,
-                 sample_batch: Callable[[int], "np.ndarray | list[int]"]):
+                 sample_batch: Callable[[int], np.ndarray]):
         if not 0.0 <= failure_prob <= 1.0:
             raise ValueError("failure probability must be in [0, 1]")
         self.n = n
@@ -269,7 +268,7 @@ class FsOracle:
                       failure_prob: float = 0.0) -> "FsOracle":
         weights = sp.coeffs.astype(np.int64) ** 2
         nonzero = np.flatnonzero(weights)
-        return cls._from_weights(sp.n, nonzero.astype(np.int64),
+        return cls._from_weights(sp.n, nonzero.astype(mask_dtype(sp.n)),
                                  weights[nonzero], 1 << (2 * sp.n),
                                  rng, counter, failure_prob)
 
@@ -292,16 +291,10 @@ class FsOracle:
         sp = wht(spec.inner)
         weights = sp.coeffs.astype(np.int64) ** 2
         inner_masks = np.flatnonzero(weights).astype(np.int64)
-        if not spec.relevant or spec.relevant[-1] <= _MASK64_BITS:
-            lifted = np.zeros(inner_masks.shape, dtype=np.int64)
-            for t, p in enumerate(spec.relevant):
-                lifted |= ((inner_masks >> t) & 1) << p
-        else:
-            lifted = [
-                sum(((int(mask) >> t) & 1) << p
-                    for t, p in enumerate(spec.relevant))
-                for mask in inner_masks
-            ]
+        dtype = mask_dtype(spec.n)
+        lifted = np.zeros(inner_masks.shape, dtype=dtype)
+        for t, p in enumerate(spec.relevant):
+            lifted |= ((inner_masks >> t) & 1).astype(dtype) << p
         return cls._from_weights(spec.n, lifted, weights[inner_masks],
                                  1 << (2 * spec.inner.n), rng, counter,
                                  failure_prob)
@@ -314,39 +307,26 @@ class FsOracle:
         ``subset=0`` covers constant targets."""
         if subset < 0 or subset >= (1 << n):
             raise FsOracleError("parity subset out of range")
-
-        if n <= _MASK64_BITS:
-            def sample_batch(m: int):
-                return np.full(m, subset, dtype=np.int64)
-        else:
-            def sample_batch(m: int):
-                return [subset] * m
-
-        return cls(n, rng, counter, failure_prob, sample_batch)
+        dtype = mask_dtype(n)
+        return cls(n, rng, counter, failure_prob,
+                   lambda m: np.full(m, subset, dtype=dtype))
 
     @classmethod
     def for_reject(cls, inst: RejectInstance, rng: np.random.Generator,
                    counter: QueryCounter | None = None,
                    failure_prob: float = 0.0) -> "FsOracle":
-        def sample_batch(m: int):
-            slots, xs = reject_transcript(inst, rng, m)
-            return masks_from_transcript(slots, xs, inst.r, inst.n)
-
-        return cls(inst.n, rng, counter, failure_prob, sample_batch)
+        return cls(inst.n, rng, counter, failure_prob, _instance_masks(inst, rng))
 
     @classmethod
     def for_accept(cls, inst: AcceptInstance, rng: np.random.Generator,
                    counter: QueryCounter | None = None,
                    failure_prob: float = 0.0) -> "FsOracle":
-        def sample_batch(m: int):
-            slots, xs = accept_transcript(inst, rng, m)
-            return masks_from_transcript(slots, xs, inst.r, inst.n)
-
-        return cls(inst.n, rng, counter, failure_prob, sample_batch)
+        return cls(inst.n, rng, counter, failure_prob, _instance_masks(inst, rng))
 
     @classmethod
-    def _from_weights(cls, n: int, masks, weights: np.ndarray, total: int,
-                      rng: np.random.Generator, counter: QueryCounter | None,
+    def _from_weights(cls, n: int, masks: np.ndarray, weights: np.ndarray,
+                      total: int, rng: np.random.Generator,
+                      counter: QueryCounter | None,
                       failure_prob: float) -> "FsOracle":
         if weights.size == 0 or np.any(weights <= 0):
             raise FsOracleError("weights must be positive")
@@ -356,14 +336,9 @@ class FsOracle:
                 f"squared weights sum to {int(cum[-1])}, expected {total}; "
                 "not a valid sampling distribution")
 
-        is_array = isinstance(masks, np.ndarray)
-
         def sample_batch(m: int):
             u = rng.integers(0, total, size=m, dtype=np.int64)
-            picks = np.searchsorted(cum, u, side="right")
-            if is_array:
-                return masks[picks]
-            return [masks[int(p)] for p in picks]
+            return masks[np.searchsorted(cum, u, side="right")]
 
         return cls(n, rng, counter, failure_prob, sample_batch)
 
@@ -373,17 +348,15 @@ class FsOracle:
         self.counter.fs_calls += 1
         if self.failure_prob and self._rng.random() < self.failure_prob:
             raise FsFailure("spectral sampling draw failed")
-        got = self._sample_batch(1)
-        return int(got[0])
+        return int(self._sample_batch(1)[0])
 
-    def draw_batch(self, m: int) -> np.ndarray | list[int]:
+    def draw_batch(self, m: int) -> np.ndarray:
+        """m subset masks as a 1-D array of dtype ``mask_dtype(n)``."""
         if m < 0:
             raise ValueError("batch size must be non-negative")
         if self.failure_prob:
-            out = []
-            for _ in range(m):
-                out.append(self.draw())
-            return out
+            return np.array([self.draw() for _ in range(m)],
+                            dtype=mask_dtype(self.n))
         self.counter.fs_calls += m
         return self._sample_batch(m)
 

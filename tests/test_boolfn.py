@@ -114,8 +114,9 @@ class TestParity:
     def test_union_mask_of_arrays_and_wide_ints(self):
         assert union_mask(np.array([0b0011, 0b0110], dtype=np.int64)) == 0b0111
         assert union_mask(np.zeros(0, dtype=np.int64)) == 0
-        assert union_mask([1 << 70, 1 << 3, 1 << 70]) == (1 << 70) | (1 << 3)
-        assert union_mask([]) == 0
+        wide = np.array([1 << 70, 1 << 3, 1 << 70], dtype=object)
+        assert union_mask(wide) == (1 << 70) | (1 << 3)
+        assert union_mask(np.zeros(0, dtype=object)) == 0
 
 
 class TestJunta:

@@ -326,6 +326,10 @@ class TestCli:
         "fs-dist --target random --n 30",
         "fs-dist --target reject --r 0",
         "scenario --k 3 --c 0.5",
+        "fs-dist --target and2 --num-draws 0",
+        "lb-collision --r 3 --n 20 --num-draws 0",
+        "lb-tv --r 3 --n 20 --num-draws 0",
+        "learn-junta --k 3 --n 10 --max-ex -5",
     ])
     def test_out_of_range_parameters_exit_two(self, tmp_path, capsys, argv):
         code = cli_main(argv.split() + ["--trials", "2",

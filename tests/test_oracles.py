@@ -15,8 +15,6 @@ from fsjunta import (
     TruthTable,
     chi_square_gof,
     derive_seed,
-    fs_draw_accept_analytic,
-    fs_draw_reject_analytic,
     make_constant,
     make_junta,
     make_parity,
@@ -238,7 +236,7 @@ class TestAnalyticReject:
 
     def test_single_draw_mask_layout(self):
         inst = RejectInstance(2, 6, (3, 0, 2, 1))
-        mask = fs_draw_reject_analytic(inst, make_rng(0, "one"))
+        mask = FsOracle.for_reject(inst, make_rng(0, "one")).draw()
         address_part = mask & 0b11
         slot_part = mask >> 2
         assert bin(slot_part).count("1") == 1
@@ -277,7 +275,7 @@ class TestAnalyticAccept:
 
     def test_single_draw_mask_layout(self):
         inst = AcceptInstance(2, 6, (1, 3), (1, -1))
-        mask = fs_draw_accept_analytic(inst, make_rng(0, "aone"))
+        mask = FsOracle.for_accept(inst, make_rng(0, "aone")).draw()
         slot = (mask >> 2).bit_length() - 1
         assert slot in (1, 3)
 
@@ -288,14 +286,42 @@ class TestLargeAmbientDimension:
         inst = sample_reject_instance(7, 1000, rng)
         fs = FsOracle.for_reject(inst, rng)
         masks = fs.draw_batch(100)
-        assert isinstance(masks, list)
+        assert isinstance(masks, np.ndarray)
+        assert masks.shape == (100,) and masks.dtype == object
         for mask in masks:
+            assert type(mask) is int
             slot_bits = mask >> 7
             assert bin(slot_bits).count("1") == 1
 
     def test_parity_oracle_scales_too(self):
         fs = FsOracle.for_parity(5000, 1 << 4999, make_rng(0, "hp"))
         assert fs.draw() == 1 << 4999
+
+    @pytest.mark.parametrize("build", [
+        lambda n, rng: FsOracle.from_junta(
+            JuntaSpec(n, (0, 5, 33, 61), random_table(4, make_rng(0, "wide"))), rng),
+        lambda n, rng: FsOracle.for_parity(n, 1 << 61 | 1 << 7, rng),
+        lambda n, rng: FsOracle.for_reject(
+            RejectInstance(3, n, (0, 57, 4, 9, 30, 1, 52, 2)), rng),
+    ], ids=["from_junta", "for_parity", "for_reject"])
+    def test_wide_ambient_n_draws_the_same_masks(self, build):
+        # every variable of the target is at or below bit 62, so only the
+        # dtype may differ between ambient n = 62 and n = 1024
+        narrow = build(62, make_rng(1, "wide")).draw_batch(3000)
+        wide = build(1024, make_rng(1, "wide")).draw_batch(3000)
+        assert narrow.dtype == np.int64 and wide.dtype == object
+        assert narrow.tolist() == wide.tolist()
+        assert all(type(mask) is int for mask in wide)
+
+    @pytest.mark.parametrize("n, dtype", [(20, np.int64), (62, np.int64),
+                                          (63, object), (1024, object)])
+    def test_failure_knob_batch_has_the_mask_dtype(self, n, dtype):
+        fs = FsOracle.for_parity(n, 1 << (n - 1), make_rng(0, "fk"),
+                                 failure_prob=1e-9)
+        masks = fs.draw_batch(50)
+        assert masks.dtype == dtype and masks.shape == (50,)
+        assert masks.tolist() == [1 << (n - 1)] * 50
+        assert fs.draw_batch(0).dtype == dtype
 
 
 class TestTranscriptPlumbing:
