@@ -6,17 +6,18 @@ single unnamed arm) on a generator seeded with ``derive_seed(master_seed,
 "<kind>[:<arm>]", trial)``, so any single row can be replayed in isolation
 and re-running a config reproduces the output byte for byte apart from
 wall-time fields. The loop owns the seeding, the time budget and each row's
-``wall_ms``; a kind supplies only its trial and summary functions. fs-dist
-is a single draw batch from one table.
+``wall_ms``; a kind supplies only its trial and summary functions, and its
+rows are a list of dicts. fs-dist is a single draw batch from one table,
+and its rows are one numpy record array with one record per subset mask.
 
-Output format: one CSV row per trial and arm (header is a stable interface)
-plus a ``<out>.summary`` sidecar of ``key = value`` lines holding the
-aggregate rates, their two-sided Chernoff half-width at the configured
-delta, and timing.
+Output format: one CSV row per trial and arm, or per mask for fs-dist
+(header is a stable interface), written column-wise by one formatter, plus
+a ``<out>.summary`` sidecar of ``key = value`` lines holding the aggregate
+rates, their two-sided Chernoff half-width at the configured delta, and
+timing.
 """
 from __future__ import annotations
 
-import csv
 import math
 import time
 from collections import Counter
@@ -217,7 +218,7 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
-    rows: list[dict]
+    rows: list[dict] | np.ndarray
     summary: dict
     truncated: bool = False
     out_path: Path | None = None
@@ -390,17 +391,19 @@ def _fs_dist_table(cfg: ExperimentConfig, rng: np.random.Generator):
     return realize_accept(sample_accept_instance(cfg.r, cfg.n, rng))
 
 
-def _run_fs_dist(cfg: ExperimentConfig) -> tuple[list[dict], dict]:
-    """One draw batch from one table's sampler, binned per subset mask."""
+def _run_fs_dist(cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
+    """One draw batch from one table's sampler, binned per subset mask.
+    The rows are a record array: one record per mask with nonzero weight
+    or count, masks ascending."""
     rng = make_rng(cfg.seed, cfg.kind, 0)
-    table = _fs_dist_table(cfg, rng)
-    weights = wht(table).coeffs.astype(np.int64) ** 2
-    fs = FsOracle.from_table(table, rng)
+    sp = wht(_fs_dist_table(cfg, rng))
+    weights = sp.coeffs.astype(np.int64) ** 2
+    fs = FsOracle.from_spectrum(sp, rng)
     observed = np.bincount(fs.draw_batch(cfg.num_draws), minlength=weights.size)
     stat, pvalue, dof = chi_square_gof(observed, weights)
-    rows = [{"mask": int(mask), "expected_weight": int(weights[mask]),
-             "observed": int(observed[mask])}
-            for mask in np.flatnonzero((weights > 0) | (observed > 0))]
+    keep = np.flatnonzero((weights > 0) | (observed > 0))
+    rows = np.rec.fromarrays([keep, weights[keep], observed[keep]],
+                             names=COLUMNS["fs-dist"])
     summary = {
         "chi2": stat,
         "dof": dof,
@@ -433,7 +436,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     full_summary.update(summary)
     full_summary["chernoff_delta"] = cfg.delta
     full_summary["interval_halfwidth"] = (
-        chernoff_halfwidth(len(rows), cfg.delta) if rows else math.nan)
+        chernoff_halfwidth(len(rows), cfg.delta) if len(rows) else math.nan)
     full_summary["elapsed_s"] = round(time.perf_counter() - start, 6)
 
     result = ExperimentResult(cfg, rows, full_summary, truncated)
@@ -443,16 +446,25 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-def _write_outputs(cfg: ExperimentConfig, rows: list[dict], summary: dict):
+def _write_outputs(cfg: ExperimentConfig, rows: list[dict] | np.ndarray,
+                   summary: dict):
+    """Write the rows as CSV, one column at a time, and the summary sidecar.
+
+    Fields go in ``COLUMNS`` order with CRLF line ends and no quoting (no
+    field holds a comma or a quote); each value is written as ``str`` gives
+    it, so floats by their ``repr`` and NaN as ``nan``."""
     out_path = Path(cfg.out)
     if out_path.parent != Path(""):
         out_path.parent.mkdir(parents=True, exist_ok=True)
-    columns = COLUMNS[cfg.kind]
+    names = COLUMNS[cfg.kind]
+    if isinstance(rows, np.ndarray):
+        columns = [rows[c].tolist() for c in names]
+    else:
+        columns = [[r[c] for r in rows] for c in names]
+    line = ",".join(["{}"] * len(names)) + "\r\n"
     with out_path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        fh.write(",".join(names) + "\r\n")
+        fh.write("".join(map(line.format, *columns)))
     summary_path = out_path.with_name(out_path.name + ".summary")
     with summary_path.open("w") as fh:
         for key, value in summary.items():

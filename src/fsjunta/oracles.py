@@ -54,6 +54,23 @@ def mask_dtype(n: int) -> np.dtype:
     return np.dtype(np.int64 if n <= _MASK64_BITS else object)
 
 
+def lift_masks(inner: np.ndarray, relevant, n: int) -> np.ndarray:
+    """Inner subset masks moved into n ambient variables: bit t of each
+    int64 inner mask becomes bit ``relevant[t]``.
+
+    Each 8-bit chunk of the inner masks goes through one 256-entry lookup
+    table of lifted bits, so a batch costs one gather and OR per chunk.
+    """
+    dtype = mask_dtype(n)
+    lifted = np.zeros(inner.shape, dtype=dtype)
+    for lo in range(0, len(relevant), 8):
+        table = np.zeros(1, dtype=dtype)
+        for p in relevant[lo:lo + 8]:
+            table = np.concatenate([table, table | (1 << p)])
+        lifted |= table[(inner >> lo) & 0xFF]
+    return lifted
+
+
 def derive_seed(master: int, label: str, index: int = 0) -> int:
     """Stable 64-bit stream seed from (master seed, label, index).
 
@@ -290,11 +307,8 @@ class FsOracle:
         """
         sp = wht(spec.inner)
         weights = sp.coeffs.astype(np.int64) ** 2
-        inner_masks = np.flatnonzero(weights).astype(np.int64)
-        dtype = mask_dtype(spec.n)
-        lifted = np.zeros(inner_masks.shape, dtype=dtype)
-        for t, p in enumerate(spec.relevant):
-            lifted |= ((inner_masks >> t) & 1).astype(dtype) << p
+        inner_masks = np.flatnonzero(weights)
+        lifted = lift_masks(inner_masks, spec.relevant, spec.n)
         return cls._from_weights(spec.n, lifted, weights[inner_masks],
                                  1 << (2 * spec.inner.n), rng, counter,
                                  failure_prob)

@@ -4,6 +4,8 @@ Everything here works straight from definitions (explicit products and
 loops), never through the package's transform or kernel paths, so a test
 comparing the two exercises genuinely independent routes.
 """
+import csv
+import io
 from fractions import Fraction
 
 import numpy as np
@@ -95,3 +97,23 @@ def naive_cell_sums(values, positions) -> np.ndarray:
             cell |= ((x >> p) & 1) << t
         out[cell] += int(values[x])
     return out
+
+
+def naive_lift_mask(inner_mask: int, relevant) -> int:
+    """Bit t of an inner subset mask moved to bit ``relevant[t]``, one bit
+    at a time."""
+    out = 0
+    for t, p in enumerate(relevant):
+        out |= ((inner_mask >> t) & 1) << p
+    return out
+
+
+def naive_csv(columns, rows) -> bytes:
+    """The bytes ``csv.DictWriter`` writes for ``rows`` under ``columns``;
+    a row that is not a dict (a record) is read field by field."""
+    buf = io.StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=columns)
+    writer.writeheader()
+    for row in rows:
+        writer.writerow(row if isinstance(row, dict) else {c: row[c] for c in columns})
+    return buf.getvalue().encode()

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fsjunta
@@ -15,11 +16,13 @@ from fsjunta.harness import (
     COLUMNS,
     ConfigError,
     ExperimentConfig,
+    _write_outputs,
     config_from_mapping,
     parse_config_file,
     run_experiment,
     validate_config,
 )
+from reference import naive_csv
 
 
 def read_rows(path):
@@ -277,6 +280,58 @@ def test_outputs_match_the_pinned_digests(tmp_path, name):
     result = run_experiment(ExperimentConfig(seed=7, out=str(tmp_path / f"{name}.csv"),
                                              **params))
     assert canonical_digests(result.out_path) == digests
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_every_kind_writes_what_dictwriter_writes(self, tmp_path, name):
+        params, _ = PINNED[name]
+        result = run_experiment(ExperimentConfig(seed=3, out=str(tmp_path / "o.csv"),
+                                                 **params))
+        assert result.out_path.read_bytes() == naive_csv(COLUMNS[params["kind"]],
+                                                         result.rows)
+
+    def test_nan_fractions_and_strings(self, tmp_path):
+        rows = [
+            {"trial": 0, "seed": 2**64 - 1, "status": "stage1-overflow",
+             "fs_calls": 12, "ex_calls": 0, "encountered_fraction": 0.0,
+             "error": math.nan, "wall_ms": 0.1 + 0.2},
+            {"trial": 1, "seed": 5, "status": "success", "fs_calls": 12,
+             "ex_calls": 7, "encountered_fraction": 1 / 3, "error": 1e-20,
+             "wall_ms": 12.0},
+            {"trial": 2, "seed": 6, "status": "stage2-timeout", "fs_calls": 12,
+             "ex_calls": 3, "encountered_fraction": 0.6875, "error": math.inf,
+             "wall_ms": 123456789.125},
+        ]
+        cfg = ExperimentConfig("learn-junta", k=2, n=4, out=str(tmp_path / "h.csv"))
+        out_path, _ = _write_outputs(cfg, rows, {})
+        data = out_path.read_bytes()
+        assert data == naive_csv(COLUMNS["learn-junta"], rows)
+        assert b",nan," in data and b"0.30000000000000004\r\n" in data
+
+    def test_zero_rows_give_a_header_only_file(self, tmp_path):
+        result = run_experiment(ExperimentConfig(
+            "test-junta", seed=4, trials=5, k=2, n=8, max_seconds=0.0,
+            out=str(tmp_path / "z.csv")))
+        assert len(result.rows) == 0
+        header = b"trial,seed,decision,correct,num_exposed,queries,wall_ms\r\n"
+        assert result.out_path.read_bytes() == header == naive_csv(
+            COLUMNS["test-junta"], [])
+        summary = read_summary(result.summary_path)
+        assert summary["rows"] == "0" and summary["interval_halfwidth"] == "nan"
+
+    def test_fs_dist_rows_are_one_record_per_mask(self, tmp_path):
+        result = run_experiment(ExperimentConfig(
+            "fs-dist", seed=2, target="random", n=8, num_draws=3000,
+            out=str(tmp_path / "f.csv")))
+        rows = result.rows
+        lines = result.out_path.read_bytes().count(b"\r\n")
+        assert len(rows) == result.summary["rows"] == lines - 1
+        assert np.all(np.diff(rows["mask"]) > 0)
+        assert np.all((rows["expected_weight"] > 0) | (rows["observed"] > 0))
+        assert int(rows["observed"].sum()) == 3000
+        assert int(rows["expected_weight"].sum()) == 4 ** 8
+        assert rows[0]["mask"] == rows["mask"][0]
 
 
 class TestCli:

@@ -31,9 +31,12 @@ from fsjunta.oracles import (
     EX_N_MAX,
     accept_transcript,
     format_transcript,
+    lift_masks,
+    mask_dtype,
     masks_from_transcript,
     reject_transcript,
 )
+from reference import naive_lift_mask
 
 AND2 = TruthTable(2, np.array([1, 1, 1, -1], dtype=np.int8))
 
@@ -322,6 +325,44 @@ class TestLargeAmbientDimension:
         assert masks.dtype == dtype and masks.shape == (50,)
         assert masks.tolist() == [1 << (n - 1)] * 50
         assert fs.draw_batch(0).dtype == dtype
+
+
+# k = 8 and 24 fill whole 8-bit chunks, 7, 9 and 12 end on a partial one
+LIFT_CASES = [(n, k) for n in (20, 62, 63, 1024) for k in (1, 7, 8, 9, 12, 24)
+              if k <= n]
+
+
+def spread_positions(n: int, k: int, rng) -> list[int]:
+    """k sorted variables of n, the top one always n - 1."""
+    return sorted(rng.choice(n - 1, size=k - 1, replace=False).tolist()) + [n - 1]
+
+
+class TestMaskLift:
+    @pytest.mark.parametrize("n, k", LIFT_CASES)
+    def test_lift_matches_the_per_bit_reference(self, n, k):
+        rng = make_rng(n, "lift-ref", k)
+        relevant = spread_positions(n, k, rng)
+        if k <= 12:
+            inner = np.arange(1 << k, dtype=np.int64)
+        else:
+            inner = np.concatenate([[0, (1 << k) - 1],
+                                    rng.integers(0, 1 << k, size=4000)])
+        lifted = lift_masks(inner, relevant, n)
+        assert lifted.dtype == mask_dtype(n) and lifted.shape == inner.shape
+        assert lifted.tolist() == [naive_lift_mask(int(m), relevant) for m in inner]
+        if lifted.dtype == object:
+            assert all(type(mask) is int for mask in lifted)
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n, k in LIFT_CASES if k <= 12])
+    def test_junta_draws_are_the_lifted_inner_draws(self, n, k):
+        # from_junta and the inner table's own sampler share the weights and
+        # the stream, so draw i of one is draw i of the other, lifted
+        rng = make_rng(n, "lift-draw", k)
+        spec = JuntaSpec(n, spread_positions(n, k, rng), random_table(k, rng))
+        wide = FsOracle.from_junta(spec, make_rng(0, "lift-draw")).draw_batch(2000)
+        inner = FsOracle.from_table(spec.inner, make_rng(0, "lift-draw")).draw_batch(2000)
+        assert wide.dtype == mask_dtype(n)
+        assert wide.tolist() == [naive_lift_mask(int(m), spec.relevant) for m in inner]
 
 
 class TestTranscriptPlumbing:
