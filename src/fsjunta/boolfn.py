@@ -216,12 +216,22 @@ def random_junta_spec(n: int, k: int, rng: np.random.Generator) -> JuntaSpec:
     return JuntaSpec(n, relevant, random_table(k, rng))
 
 
-def _addresses(idx: np.ndarray, r: int) -> np.ndarray:
-    # Address bit order: variable 0 is the most significant address bit.
-    addr = np.zeros(idx.shape, dtype=np.int64)
-    for j in range(r):
-        addr |= ((idx >> j) & 1) << (r - 1 - j)
-    return addr
+_DICTATOR = np.array([1, -1], dtype=np.int8)
+
+
+def _addressing_table(r: int, n: int, cells) -> TruthTable:
+    """Table on n variables whose first r form an address; the a-th item of
+    ``cells`` is the ``(2,)*(n-r)`` sub-table over the other variables at
+    address a.
+
+    Address variable j is the address bit of weight 2^(r-1-j) and sits on
+    axis n-1-j, so axis n-r+q carries bit q of the address.
+    """
+    _check_n(n)
+    vals = np.empty((2,) * n, dtype=np.int8)
+    for a, cell in enumerate(cells):
+        vals[(...,) + tuple((a >> q) & 1 for q in range(r))] = cell
+    return TruthTable(n, vals.reshape(-1))
 
 
 def make_addressing(r: int) -> TruthTable:
@@ -237,54 +247,64 @@ def make_addressing(r: int) -> TruthTable:
     n = r + big_r
     if n > N_MAX:
         raise ValueError(f"addressing on r={r} needs {n} > {N_MAX} variables")
-    idx = _indices(n)
-    addr = _addresses(idx, r)
-    vals = (1 - 2 * ((idx >> (r + addr)) & 1)).astype(np.int8)
-    return TruthTable(n, vals)
+    return realize_reject(RejectInstance(r, n, np.arange(big_r)))
 
 
-def _check_instance_common(r: int, n: int, tau: tuple[int, ...], leaves: int) -> None:
+def _frozen_int64(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
+def _check_instance_common(r: int, n: int, tau: np.ndarray, leaves: int) -> None:
     if r < 1:
         raise ValueError("need r >= 1")
-    if len(tau) != leaves:
+    if tau.shape != (leaves,):
         raise ValueError(f"tau must list {leaves} variable slots")
-    if len(set(tau)) != len(tau):
+    ordered = np.sort(tau)
+    if (ordered[1:] == ordered[:-1]).any():
         raise ValueError("tau entries must be distinct")
-    if tau and not all(0 <= t < n - r for t in tau):
+    if ordered[0] < 0 or ordered[-1] >= n - r:
         raise ValueError("tau entries must index the non-address variables")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RejectInstance:
     """Addressing over r address variables with all 2^r leaves wired to
-    distinct non-address variables; far from every (r + 2^{r-1})-junta."""
+    distinct non-address variables; far from every (r + 2^{r-1})-junta.
+
+    ``tau`` is stored as a read-only int64 array.
+    """
 
     r: int
     n: int
-    tau: tuple[int, ...]
+    tau: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "tau", tuple(int(t) for t in self.tau))
+        object.__setattr__(self, "tau", _frozen_int64(self.tau))
         _check_instance_common(self.r, self.n, self.tau, 1 << self.r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AcceptInstance:
     """Addressing variant wiring leaf pairs (i, 2^r-1-i) to the same
-    variable up to a per-pair sign, so only r + 2^{r-1} variables matter."""
+    variable up to a per-pair sign, so only r + 2^{r-1} variables matter.
+
+    ``tau`` and ``s`` are stored as read-only int64 arrays.
+    """
 
     r: int
     n: int
-    tau: tuple[int, ...]
-    s: tuple[int, ...]
+    tau: np.ndarray
+    s: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "tau", tuple(int(t) for t in self.tau))
-        object.__setattr__(self, "s", tuple(int(v) for v in self.s))
+        object.__setattr__(self, "tau", _frozen_int64(self.tau))
+        object.__setattr__(self, "s", _frozen_int64(self.s))
         _check_instance_common(self.r, self.n, self.tau, 1 << (self.r - 1))
-        if len(self.s) != 1 << (self.r - 1):
+        if self.s.shape != (1 << (self.r - 1),):
             raise ValueError("need one sign per wired leaf pair")
-        if any(v not in (-1, 1) for v in self.s):
+        if (np.abs(self.s) != 1).any():
             raise ValueError("signs must be -1 or +1")
 
 
@@ -292,42 +312,34 @@ def sample_reject_instance(r: int, n: int, rng: np.random.Generator) -> RejectIn
     big_r = 1 << r
     if n - r < big_r:
         raise ValueError(f"need n >= r + 2^r = {r + big_r}")
-    tau = tuple(int(t) for t in rng.choice(n - r, size=big_r, replace=False))
-    return RejectInstance(r, n, tau)
+    return RejectInstance(r, n, rng.choice(n - r, size=big_r, replace=False))
 
 
 def sample_accept_instance(r: int, n: int, rng: np.random.Generator) -> AcceptInstance:
     half = 1 << (r - 1)
     if n - r < half:
         raise ValueError(f"need n >= r + 2^(r-1) = {r + half}")
-    tau = tuple(int(t) for t in rng.choice(n - r, size=half, replace=False))
-    s = tuple(int(v) for v in 2 * rng.integers(0, 2, size=half) - 1)
-    return AcceptInstance(r, n, tau, s)
+    tau = rng.choice(n - r, size=half, replace=False)
+    return AcceptInstance(r, n, tau, 2 * rng.integers(0, 2, size=half) - 1)
 
 
 def realize_reject(inst: RejectInstance) -> TruthTable:
     """Full truth table of a reject instance (variable r+j carries slot j)."""
-    _check_n(inst.n)
-    idx = _indices(inst.n)
-    addr = _addresses(idx, inst.r)
-    shift = inst.r + np.asarray(inst.tau, dtype=np.int64)[addr]
-    vals = (1 - 2 * ((idx >> shift) & 1)).astype(np.int8)
-    return TruthTable(inst.n, vals)
+    m = inst.n - inst.r
+    return _addressing_table(inst.r, inst.n,
+                             (lift(_DICTATOR, [t], m) for t in inst.tau))
 
 
 def realize_accept(inst: AcceptInstance) -> TruthTable:
     """Full truth table of an accept instance; leaf 2^r-1-i carries
     ``s[i]`` times the variable wired to leaf i."""
-    _check_n(inst.n)
-    r = inst.r
-    half = 1 << (r - 1)
-    idx = _indices(inst.n)
-    addr = _addresses(idx, r)
-    pair = np.where(addr < half, addr, (1 << r) - 1 - addr)
-    sign = np.where(addr < half, 1, np.asarray(inst.s, dtype=np.int64)[pair])
-    shift = r + np.asarray(inst.tau, dtype=np.int64)[pair]
-    vals = (sign * (1 - 2 * ((idx >> shift) & 1))).astype(np.int8)
-    return TruthTable(inst.n, vals)
+    half = 1 << (inst.r - 1)
+    # Leaf a < half is pair a with sign +1; leaf 2^r-1-i is pair i with s[i].
+    taus = np.concatenate([inst.tau, inst.tau[::-1]])
+    signs = np.concatenate([np.ones(half, dtype=np.int64), inst.s[::-1]])
+    m = inst.n - inst.r
+    cells = (lift(sign * _DICTATOR, [t], m) for sign, t in zip(signs, taus))
+    return _addressing_table(inst.r, inst.n, cells)
 
 
 def distance(f: TruthTable, g: TruthTable) -> Fraction:

@@ -35,8 +35,8 @@ from .oracles import (EX_N_MAX, ExOracle, FsOracle, derive_seed, fresh_accept_so
                       fresh_reject_source, make_rng)
 from .stats import chernoff_halfwidth, chi_square_gof
 from .testing import (ACCEPT, REJECT, SCENARIO_I, SCENARIO_II, collision_features,
-                      histogram_tv, junta_test, sample_scenario, scenario_distinguisher,
-                      scenario_oracle)
+                      collision_guess, histogram_tv, junta_test, sample_scenario,
+                      scenario_distinguisher, scenario_oracle)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -303,7 +303,7 @@ def _collision_trial(cfg: ExperimentConfig, rng: np.random.Generator, source: st
 def _lb_collision_trial(cfg: ExperimentConfig, rng: np.random.Generator,
                         source: str) -> dict:
     row = _collision_trial(cfg, rng, source)
-    guess = REJECT if row["inconsistent"] else ACCEPT
+    guess = collision_guess(row["inconsistent"])
     row.update(guess=guess, correct=int(guess == source))
     return row
 

@@ -182,8 +182,7 @@ def reject_transcript(inst: RejectInstance, rng: np.random.Generator,
     big_r = 1 << inst.r
     leaf = rng.integers(0, big_r, size=m)
     x = rng.integers(0, big_r, size=m, dtype=np.int64)
-    tau = np.asarray(inst.tau, dtype=np.int64)
-    return tau[leaf], x
+    return inst.tau[leaf], x
 
 
 def accept_transcript(inst: AcceptInstance, rng: np.random.Generator,
@@ -198,12 +197,11 @@ def accept_transcript(inst: AcceptInstance, rng: np.random.Generator,
     half = 1 << (r - 1)
     leaf = rng.integers(0, half, size=m)
     base = rng.integers(0, half, size=m, dtype=np.int64)
-    want_odd = (np.asarray(inst.s, dtype=np.int64)[leaf] < 0).astype(np.int64)
+    want_odd = (inst.s[leaf] < 0).astype(np.int64)
     base_parity = (np.bitwise_count(base.astype(np.uint64)).astype(np.int64)) & 1
     top = base_parity ^ want_odd
     x = base | (top << (r - 1))
-    tau = np.asarray(inst.tau, dtype=np.int64)
-    return tau[leaf], x
+    return inst.tau[leaf], x
 
 
 def masks_from_transcript(slots: np.ndarray, x_masks: np.ndarray, r: int,

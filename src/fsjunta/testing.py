@@ -132,6 +132,12 @@ def collision_distinguisher(source: TranscriptSource, num_draws: int,
     """
     slots, x_masks = source(rng, num_draws)
     _, inconsistent = collision_features(slots, x_masks)
+    return collision_guess(inconsistent)
+
+
+def collision_guess(inconsistent: bool) -> str:
+    """The collision rule on a transcript's inconsistent-parity flag (see
+    :func:`collision_features`): reject iff it is set, else accept."""
     return REJECT if inconsistent else ACCEPT
 
 

@@ -88,6 +88,45 @@ def naive_lift(values, positions, n) -> np.ndarray:
     return out
 
 
+def _naive_addressing(inst, value_at) -> np.ndarray:
+    """Dense table of an addressing instance, 2^20 indices at a time:
+    ``value_at(idx, addr)`` is the output at indices ``idx`` whose address
+    is ``addr``. Address variable 0 is the most significant address bit."""
+    size = 1 << inst.n
+    out = np.empty(size, dtype=np.int8)
+    for start in range(0, size, 1 << 20):
+        idx = np.arange(start, min(start + (1 << 20), size), dtype=np.int64)
+        addr = np.zeros(idx.shape, dtype=np.int64)
+        for j in range(inst.r):
+            addr |= ((idx >> j) & 1) << (inst.r - 1 - j)
+        out[start:start + idx.size] = value_at(idx, addr)
+    return out
+
+
+def naive_realize_reject(inst) -> np.ndarray:
+    """Dense table of a reject instance: at every index, read the address
+    bits and then the bit of the variable wired to that leaf."""
+    tau = np.asarray(inst.tau, dtype=np.int64)
+    return _naive_addressing(
+        inst, lambda idx, addr: 1 - 2 * ((idx >> (inst.r + tau[addr])) & 1))
+
+
+def naive_realize_accept(inst) -> np.ndarray:
+    """Dense table of an accept instance by the same bit gather; leaf
+    2^r-1-i reads the variable of leaf i times ``s[i]``."""
+    r = inst.r
+    half = 1 << (r - 1)
+    tau = np.asarray(inst.tau, dtype=np.int64)
+    s = np.asarray(inst.s, dtype=np.int64)
+
+    def value_at(idx, addr):
+        pair = np.where(addr < half, addr, (1 << r) - 1 - addr)
+        sign = np.where(addr < half, 1, s[pair])
+        return sign * (1 - 2 * ((idx >> (r + tau[pair])) & 1))
+
+    return _naive_addressing(inst, value_at)
+
+
 def naive_cell_sums(values, positions) -> np.ndarray:
     """Per-assignment sums of a table over each assignment's fiber."""
     out = np.zeros(1 << len(positions), dtype=np.int64)

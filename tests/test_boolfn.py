@@ -24,6 +24,8 @@ from fsjunta import (
     random_table,
     realize_accept,
     realize_reject,
+    sample_accept_instance,
+    sample_reject_instance,
     vars_from_mask,
 )
 
@@ -34,6 +36,8 @@ from reference import (
     naive_distance,
     naive_influence,
     naive_lift,
+    naive_realize_accept,
+    naive_realize_reject,
 )
 
 AND2 = TruthTable(2, np.array([1, 1, 1, -1], dtype=np.int8))
@@ -217,6 +221,101 @@ class TestInstanceFamilies:
         tau = tuple(range(32))
         with pytest.raises(ValueError):
             realize_reject(RejectInstance(5, 40, tau))
+
+
+class TestArrayInstances:
+    def _instances(self):
+        return (RejectInstance(2, 6, (3, 0, 2, 1)),
+                AcceptInstance(2, 6, (1, 3), (1, -1)))
+
+    def test_fields_are_read_only_int64(self):
+        rej, acc = self._instances()
+        for arr in (rej.tau, acc.tau, acc.s):
+            assert arr.dtype == np.int64
+            assert arr.flags.writeable is False
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_instances_compare_by_identity(self):
+        for a, b in zip(self._instances(), self._instances()):
+            assert a is not b
+            assert (a == b) is False
+            assert a == a
+            assert len({a, b}) == 2
+
+    @pytest.mark.parametrize("kind", [tuple, list, np.array])
+    def test_tuple_list_and_array_inputs_give_equal_arrays(self, kind):
+        rej = RejectInstance(2, 6, kind([3, 0, 2, 1]))
+        acc = AcceptInstance(2, 6, kind([1, 3]), kind([1, -1]))
+        assert np.array_equal(rej.tau, [3, 0, 2, 1])
+        assert np.array_equal(acc.tau, [1, 3])
+        assert np.array_equal(acc.s, [1, -1])
+
+    def test_array_input_is_copied_not_frozen(self):
+        tau = np.array([3, 0, 2, 1], dtype=np.int32)
+        inst = RejectInstance(2, 6, tau)
+        tau[0] = 1
+        assert tau.flags.writeable
+        assert np.array_equal(inst.tau, [3, 0, 2, 1])
+
+    @pytest.mark.parametrize("make", [
+        lambda: RejectInstance(2, 6, (0, 1, 2)),                # wrong length
+        lambda: RejectInstance(2, 6, ((0, 1), (2, 3))),         # 2-D tau
+        lambda: RejectInstance(2, 6, (0, 1, 2, 2)),             # duplicate slot
+        lambda: RejectInstance(2, 6, (0, 1, 2, 4)),             # slot at n - r
+        lambda: RejectInstance(2, 6, (-1, 0, 1, 2)),            # slot below 0
+        lambda: AcceptInstance(2, 6, (0,), (1, 1)),             # wrong length
+        lambda: AcceptInstance(2, 6, ((0,), (1,)), (1, 1)),     # 2-D tau
+        lambda: AcceptInstance(2, 6, (3, 3), (1, 1)),           # duplicate slot
+        lambda: AcceptInstance(2, 6, (0, 4), (1, 1)),           # slot at n - r
+        lambda: AcceptInstance(2, 6, (-1, 0), (1, 1)),          # slot below 0
+        lambda: AcceptInstance(2, 6, (0, 1), (1,)),             # too few signs
+        lambda: AcceptInstance(2, 6, (0, 1), (1, 1, 1)),        # too many signs
+        lambda: AcceptInstance(2, 6, (0, 1), (1, 0)),           # sign 0
+        lambda: AcceptInstance(2, 6, (0, 1), (2, 1)),           # sign 2
+        lambda: RejectInstance(0, 6, (0,)),                     # r < 1
+    ])
+    def test_each_check_raises(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize("r,n", [(1, 3), (3, 11), (4, 20), (9, 1024)])
+    def test_samplers_take_the_rng_results_as_they_are(self, r, n):
+        rng, rng2 = np.random.default_rng(r * n), np.random.default_rng(r * n)
+        rej = sample_reject_instance(r, n, rng)
+        assert np.array_equal(rej.tau, rng2.choice(n - r, size=2**r, replace=False))
+        assert rng.bit_generator.state == rng2.bit_generator.state
+        half = 2 ** (r - 1)
+        acc = sample_accept_instance(r, n, rng)
+        assert np.array_equal(acc.tau, rng2.choice(n - r, size=half, replace=False))
+        assert np.array_equal(acc.s, 2 * rng2.integers(0, 2, size=half) - 1)
+        assert rng.bit_generator.state == rng2.bit_generator.state
+
+
+class TestAddressingReference:
+    """The lift-based builders against the bit-gather reference."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_make_addressing(self, r):
+        n = r + 2**r
+        expected = naive_realize_reject(RejectInstance(r, n, range(2**r)))
+        assert np.array_equal(make_addressing(r).values, expected)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_realize_reject(self, r):
+        rng = np.random.default_rng(r)
+        for n in (r + 2**r, 24):
+            inst = sample_reject_instance(r, n, rng)
+            assert np.array_equal(realize_reject(inst).values,
+                                  naive_realize_reject(inst))
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_realize_accept(self, r):
+        rng = np.random.default_rng(r)
+        for n in (r + 2 ** (r - 1), 24):
+            inst = sample_accept_instance(r, n, rng)
+            assert np.array_equal(realize_accept(inst).values,
+                                  naive_realize_accept(inst))
 
 
 class TestDistance:

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -243,6 +244,24 @@ class TestCoverageTarget:
             for eps in (0.01, 0.1, 0.29, 0.3, 0.5, 0.9, 1.0):
                 exact = (1 - Fraction(str(eps)) / 3) * cells
                 assert coverage_target(cells, eps) == math.ceil(exact)
+
+
+class TestBudgets:
+    def test_budgets_match_a_60_digit_evaluation(self):
+        """stage_one_draws and default_example_cap against the formulas in
+        60-digit decimals, for k = 1..24 and eps = 0.01, 0.02, ..., 1.00."""
+        with localcontext() as ctx:
+            ctx.prec = 60
+            e = Decimal(1).exp()
+            for k in range(1, 25):
+                ln_10k = Decimal(10 * k).ln()
+                for i in range(1, 101):
+                    eps, exact_eps = i / 100, Decimal(i) / 100
+                    draws = math.ceil(10 * k / exact_eps * ln_10k)
+                    inv = 1 / exact_eps  # ln(max(inv, e)) is exactly 1 when inv <= e
+                    cap = math.ceil(8 * 2**k * (inv.ln() if inv > e else 1))
+                    assert stage_one_draws(k, eps) == draws, (k, eps)
+                    assert default_example_cap(k, eps) == cap, (k, eps)
 
 
 class TestSpecScoring:
