@@ -75,18 +75,18 @@ def project_assignments(indices: np.ndarray, positions: Sequence[int]) -> np.nda
     """Project table indices onto the given variable positions.
 
     Bit ``t`` of the result is the input's bit at ``positions[t]``, so the
-    projected value indexes a table over just those variables.
+    projected value indexes a table over just those variables. Positions
+    must be strictly increasing, as for :func:`lift`; then
+    ``positions[t] - t`` never decreases, and every run of consecutive
+    positions moves with one shift and one mask.
     """
-    proj = np.zeros(np.shape(indices), dtype=np.int64)
+    runs: dict[int, int] = {}
     for t, p in enumerate(positions):
-        proj |= ((indices >> int(p)) & 1) << t
-    return proj
-
-
-def project_index(x: int, positions: Sequence[int]) -> int:
-    proj = 0
-    for p in reversed(positions):
-        proj = (proj << 1) | ((x >> p) & 1)
+        shift = int(p) - t
+        runs[shift] = runs.get(shift, 0) | (1 << t)
+    proj = np.zeros(np.shape(indices), dtype=np.int64)
+    for shift, mask in runs.items():
+        proj |= (indices >> shift) & mask
     return proj
 
 

@@ -12,6 +12,14 @@ Stage 2 draws uniform labeled examples and records, for each assignment to
 the found variables, the label of the first example projecting onto it. It
 stops once at least a 1 - eps/3 fraction of assignments have been seen, or
 at the example cap. Assignments never seen evaluate to -1 (True).
+
+Examples are drawn in chunks, the first as large as the coverage target and
+each next one twice the last, and every chunk is projected in one array
+pass. The stage stops at the exact example where coverage is reached or the
+cap is hit, and gives the rest of that chunk back to the oracle
+(``ExOracle.unread``), so the reported example count, the shared query
+counter and the generator state all equal those of drawing one example at
+a time.
 """
 from __future__ import annotations
 
@@ -21,8 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import (N_MAX, JuntaSpec, TruthTable, as_junta, lift, project_index,
-                     union_mask, vars_from_mask)
+from .boolfn import (N_MAX, JuntaSpec, TruthTable, as_junta, lift,
+                     project_assignments, union_mask, vars_from_mask)
 from .oracles import ExOracle, FsOracle
 
 #: Entry value marking a hypothesis cell that no example ever reached.
@@ -58,7 +66,7 @@ class Hypothesis:
         object.__setattr__(self, "entries", arr)
 
     def eval_index(self, x: int) -> int:
-        cell = int(self.entries[project_index(x, self.vars)])
+        cell = int(self.entries[project_assignments(x, self.vars)])
         return -1 if cell == UNSEEN else cell
 
     def values_on(self, n: int) -> np.ndarray:
@@ -135,6 +143,13 @@ def learn_junta(fs: FsOracle, ex: ExOracle, k: int, eps: float,
     Statuses: ``stage1-overflow`` if more than k variables were exposed
     (impossible under the promise), ``stage2-timeout`` if the example cap
     was reached before coverage, else ``success``.
+
+    Stage 2 draws ``ex.draw_batch`` chunks of needed, 2 needed, 4 needed,
+    ... examples (never past the cap) and finds each cell's first example
+    in a chunk with one ``np.minimum.at``. In the chunk where coverage is
+    reached it keeps the examples up to that one and hands the others back
+    with ``ex.unread``. ``ex_calls``, ``ex.counter`` and the state of the
+    example generator therefore end exactly as with one-at-a-time draws.
     """
     before = fs.calls
     found = find_influential(fs, k, eps)
@@ -146,15 +161,23 @@ def learn_junta(fs: FsOracle, ex: ExOracle, k: int, eps: float,
     cells = 1 << len(found)
     needed = coverage_target(cells, eps)
     entries = np.zeros(cells, dtype=np.int8)
-    seen = 0
-    draws = 0
+    seen = draws = 0
+    chunk = needed
     while seen < needed and draws < cap:
-        example = ex.draw()
-        draws += 1
-        cell = project_index(example.x, found)
-        if entries[cell] == UNSEEN:
-            entries[cell] = example.y
-            seen += 1
+        m = min(chunk, cap - draws)
+        xs, ys = ex.draw_batch(m)
+        first = np.full(cells, m, dtype=np.int64)
+        np.minimum.at(first, project_assignments(xs, found), np.arange(m))
+        new = np.flatnonzero((first < m) & (entries == UNSEEN))
+        if seen + new.size >= needed:
+            stop = int(np.sort(first[new])[needed - seen - 1]) + 1
+            new = new[first[new] < stop]
+            ex.unread(m - stop)
+            m = stop
+        entries[new] = ys[first[new]]
+        seen += new.size
+        draws += m
+        chunk *= 2
     status = SUCCESS if seen >= needed else STAGE_TWO_TIMEOUT
     return LearnerReport(Hypothesis(found, entries), fs_used, draws,
                          Fraction(seen, cells), status)

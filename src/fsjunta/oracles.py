@@ -34,7 +34,6 @@ from .boolfn import (
     TruthTable,
     as_junta,
     project_assignments,
-    project_index,
     sample_accept_instance,
     sample_reject_instance,
     vars_from_mask,
@@ -129,6 +128,8 @@ class ExOracle:
                 f"uniform examples need n <= {EX_N_MAX}, got {self.spec.n}")
         self._rng = rng
         self.counter = counter if counter is not None else QueryCounter()
+        self._batch_state = None
+        self._batch_size = 0
 
     @classmethod
     def from_junta(cls, spec: JuntaSpec, rng: np.random.Generator,
@@ -137,16 +138,39 @@ class ExOracle:
         return cls(spec, rng, counter)
 
     def draw(self) -> LabeledExample:
-        x = int(self._rng.integers(0, 1 << self.spec.n))
-        self.counter.ex_calls += 1
-        cell = project_index(x, self.spec.relevant)
-        return LabeledExample(x, int(self.spec.inner.values[cell]))
+        xs, ys = self.draw_batch(1)
+        return LabeledExample(int(xs[0]), int(ys[0]))
 
     def draw_batch(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """m examples as (int64 inputs, int8 labels). A batch of m draws
+        the same inputs, and leaves the generator in the same state, as m
+        single draws; :meth:`unread` can give back any suffix of it."""
+        self._batch_state = self._rng.bit_generator.state
+        self._batch_size = m
         xs = self._rng.integers(0, 1 << self.spec.n, size=m, dtype=np.int64)
         self.counter.ex_calls += m
         cells = project_assignments(xs, self.spec.relevant)
         return xs, self.spec.inner.values[cells]
+
+    def unread(self, count: int) -> None:
+        """Give back the last ``count`` examples of the latest batch.
+
+        The generator is reset to its state before that batch and the kept
+        prefix is drawn again, so the generator and ``counter.ex_calls``
+        end exactly as if only the prefix had been drawn; the prefix then
+        counts as the latest batch. Nothing else may draw from the
+        generator between the batch and this call.
+        """
+        if not 0 <= count <= self._batch_size:
+            raise ValueError(
+                f"can give back 0..{self._batch_size} examples, not {count}")
+        if count == 0:
+            return
+        kept = self._batch_size - count
+        self._rng.bit_generator.state = self._batch_state
+        self._rng.integers(0, 1 << self.spec.n, size=kept, dtype=np.int64)
+        self._batch_size = kept
+        self.counter.ex_calls -= count
 
     @property
     def calls(self) -> int:

@@ -61,14 +61,39 @@ def naive_projection_value(table, subset: int, x: int) -> int:
     return acc
 
 
+def naive_project(x: int, positions) -> int:
+    """The assignment of ``x`` to ``positions``: bit t is x's bit at
+    ``positions[t]``, read one bit at a time."""
+    cell = 0
+    for t, p in enumerate(positions):
+        cell |= ((x >> p) & 1) << t
+    return cell
+
+
+def naive_stage_two(spec, rng, counter, found, needed, cap):
+    """The learner's stage 2 one example at a time, each drawn as a scalar
+    ``rng.integers(0, 2^n)`` and projected bit by bit; returns (entries,
+    cells seen, examples drawn) and counts every draw on ``counter``."""
+    entries = np.zeros(1 << len(found), dtype=np.int8)
+    seen = 0
+    draws = 0
+    while seen < needed and draws < cap:
+        x = int(rng.integers(0, 1 << spec.n))
+        counter.ex_calls += 1
+        y = int(spec.inner.values[naive_project(x, spec.relevant)])
+        draws += 1
+        cell = naive_project(x, found)
+        if entries[cell] == 0:
+            entries[cell] = y
+            seen += 1
+    return entries, seen, draws
+
+
 def naive_best_junta_errors(table, positions) -> int:
     size = 1 << table.n
     cells: dict[int, list[int]] = {}
     for x in range(size):
-        cell = 0
-        for t, p in enumerate(positions):
-            cell |= ((x >> p) & 1) << t
-        cells.setdefault(cell, []).append(int(table.values[x]))
+        cells.setdefault(naive_project(x, positions), []).append(int(table.values[x]))
     errors = 0
     for values in cells.values():
         neg = sum(1 for v in values if v < 0)
@@ -81,10 +106,7 @@ def naive_lift(values, positions, n) -> np.ndarray:
     each index's bits at those positions."""
     out = np.empty(1 << n, dtype=np.asarray(values).dtype)
     for x in range(1 << n):
-        cell = 0
-        for t, p in enumerate(positions):
-            cell |= ((x >> p) & 1) << t
-        out[x] = values[cell]
+        out[x] = values[naive_project(x, positions)]
     return out
 
 
@@ -131,10 +153,7 @@ def naive_cell_sums(values, positions) -> np.ndarray:
     """Per-assignment sums of a table over each assignment's fiber."""
     out = np.zeros(1 << len(positions), dtype=np.int64)
     for x in range(len(values)):
-        cell = 0
-        for t, p in enumerate(positions):
-            cell |= ((x >> p) & 1) << t
-        out[cell] += int(values[x])
+        out[naive_project(x, positions)] += int(values[x])
     return out
 
 

@@ -29,13 +29,14 @@ from fsjunta import (
     vars_from_mask,
 )
 
-from fsjunta.boolfn import project_assignments, project_index, union_mask
+from fsjunta.boolfn import project_assignments, union_mask
 
 from reference import (
     naive_best_junta_errors,
     naive_distance,
     naive_influence,
     naive_lift,
+    naive_project,
     naive_realize_accept,
     naive_realize_reject,
 )
@@ -394,12 +395,13 @@ class TestLift:
         assert np.shares_memory(got, values)
         assert not got.flags.writeable
 
-    def test_project_index_matches_the_batch_projection(self):
+    def test_project_assignments_matches_the_per_bit_reference(self):
         rng = np.random.default_rng(47)
-        positions = (0, 5, 17, 40, 61)
-        xs = rng.integers(0, 1 << 62, size=200, dtype=np.int64)
-        batch = project_assignments(xs, positions)
-        assert [project_index(int(x), positions) for x in xs] == batch.tolist()
+        for positions in ((0, 5, 17, 40, 61), (31, 32, 33), (), (62,)):
+            xs = rng.integers(0, 1 << 63, size=200, dtype=np.int64)
+            got = project_assignments(xs, positions)
+            assert got.tolist() == [naive_project(int(x), positions) for x in xs]
+            assert project_assignments(int(xs[0]), positions) == got[0]
 
     def test_make_junta_matches_the_gather_reference(self):
         rng = np.random.default_rng(43)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fsjunta
-from fsjunta import chernoff_halfwidth, chernoff_trials
+from fsjunta import chernoff_halfwidth, chernoff_trials, chi_square_gof
 from fsjunta.cli import main as cli_main
 from fsjunta.harness import (
     COLUMNS,
@@ -79,6 +79,27 @@ class TestChernoffSizing:
             chernoff_trials(0.0, 0.05)
         with pytest.raises(ValueError):
             chernoff_trials(0.1, 0.0)
+
+
+class TestChiSquare:
+    def test_matches_scipy_stats_chisquare_bit_for_bit(self):
+        from scipy.stats import chisquare
+
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            bins = int(rng.integers(2, 5000))
+            weights = rng.integers(1, 50, size=bins)
+            draws = int(rng.integers(1, 20 * bins))
+            observed = rng.multinomial(draws, weights / weights.sum())
+            stat, pvalue, dof = chi_square_gof(observed, weights)
+            expected = weights / weights.sum() * draws
+            want = chisquare(observed.astype(np.float64), expected)
+            assert (stat, pvalue, dof) == (float(want.statistic),
+                                           float(want.pvalue), bins - 1)
+
+    def test_off_support_and_point_mass(self):
+        assert chi_square_gof(np.array([3, 1]), np.array([1, 0])) == (math.inf, 0.0, 0)
+        assert chi_square_gof(np.array([0, 7]), np.array([0, 2])) == (0.0, 1.0, 0)
 
 
 class TestConfigHandling:

@@ -23,6 +23,7 @@ from fsjunta import (
     make_rng,
     random_junta_spec,
 )
+from fsjunta.boolfn import as_junta
 from fsjunta.learning import (
     STAGE_ONE_OVERFLOW,
     STAGE_TWO_TIMEOUT,
@@ -33,22 +34,36 @@ from fsjunta.learning import (
     stage_one_draws,
 )
 
+from reference import naive_stage_two
+
 AND2 = TruthTable(2, np.array([1, 1, 1, -1], dtype=np.int8))
 
 
 class ScriptedEx:
-    """Replays a fixed example sequence; stands in for ExOracle in tests."""
+    """Replays a fixed example sequence; stands in for ExOracle in tests.
+
+    A batch may run past the end of the script; it is then padded with
+    copies of the last example, which the learner has to give back, so a
+    test checks that ``cursor`` (examples kept) stays within the script.
+    """
 
     def __init__(self, examples):
         self.examples = list(examples)
         self.cursor = 0
-        self.calls = 0
+        self.batch = 0
 
-    def draw(self):
-        example = self.examples[self.cursor]
-        self.cursor += 1
-        self.calls += 1
-        return example
+    def draw_batch(self, m):
+        served = self.examples[self.cursor:self.cursor + m]
+        served += [self.examples[-1]] * (m - len(served))
+        self.cursor += m
+        self.batch = m
+        xs, ys = zip(*served)
+        return np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int8)
+
+    def unread(self, count):
+        assert 0 <= count <= self.batch
+        self.cursor -= count
+        self.batch -= count
 
 
 class TestFindInfluential:
@@ -195,6 +210,7 @@ class TestLearnJunta:
         scripted = ScriptedEx([LabeledExample(*e) for e in replay_stream])
         fs2 = FsOracle.for_parity(6, 0b11, make_rng(5, "fs"))
         again = learn_junta(fs2, scripted, 2, 0.1)
+        assert scripted.cursor == again.ex_calls <= len(replay_stream)
         assert np.array_equal(again.hypothesis.entries, base.hypothesis.entries)
         assert again.hypothesis.vars == base.hypothesis.vars
 
@@ -227,6 +243,62 @@ class TestLearnJunta:
             report = learn_junta(fs, ex, 5, 0.1, max_ex_draws=cap)
             fractions.append(report.encountered_fraction)
         assert fractions == sorted(fractions)
+
+
+class TestChunkedStageTwo:
+    """The chunked stage 2 against the one-at-a-time loop of
+    ``reference.naive_stage_two``: equal tables, statuses and counts, and
+    the shared generator left in the same state."""
+
+    @staticmethod
+    def run_both(spec, k, eps, seed, cap):
+        rng = make_rng(seed, "stage2")
+        counter = QueryCounter()
+        fs = FsOracle.from_junta(spec, rng, counter=counter)
+        report = learn_junta(fs, ExOracle.from_junta(spec, rng, counter=counter),
+                             k, eps, cap)
+
+        rng_ref = make_rng(seed, "stage2")
+        counter_ref = QueryCounter()
+        found = find_influential(
+            FsOracle.from_junta(spec, rng_ref, counter=counter_ref), k, eps)
+        cells = 1 << len(found)
+        needed = coverage_target(cells, eps)
+        budget = default_example_cap(k, eps) if cap is None else cap
+        entries, seen, draws = naive_stage_two(spec, rng_ref, counter_ref,
+                                               found, needed, budget)
+
+        assert report.hypothesis.vars == found
+        assert np.array_equal(report.hypothesis.entries, entries)
+        assert report.status == (SUCCESS if seen >= needed else STAGE_TWO_TIMEOUT)
+        assert report.ex_calls == draws
+        assert report.encountered_fraction == Fraction(seen, cells)
+        assert counter == counter_ref
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        return report, needed
+
+    def test_matches_the_scalar_loop(self):
+        """220 seeds over junta sizes 0..10 and ambient n up to 62; caps
+        None, 0, 1, inside the first chunk, at the stop index and one past
+        it."""
+        rng = np.random.default_rng(71)
+        for seed in range(220):
+            size = seed % 11
+            n = int(rng.choice([max(size, 1) + 2, 20, 32, 33, 62]))
+            eps = float(rng.choice([0.1, 0.3, 0.6, 1.0]))
+            if size == 0:
+                spec = as_junta(make_constant(6, int(rng.choice([-1, 1]))))
+            else:
+                spec = random_junta_spec(n, size, rng)
+            k = max(size, 1)
+            report, needed = self.run_both(spec, k, eps, seed, None)
+            if size == 0:
+                assert report.hypothesis.vars == ()
+                assert report.ex_calls == 1
+            stop = report.ex_calls
+            inside = int(rng.integers(1, needed)) if needed > 1 else 0
+            for cap in (0, 1, inside, stop, stop + 1):
+                self.run_both(spec, k, eps, seed, cap)
 
 
 class TestCoverageTarget:

@@ -210,6 +210,70 @@ class TestClassicalOracles:
         assert (counter.fs_calls, counter.ex_calls, counter.mq_calls) == (5, 2, 0)
 
 
+class TestExUnread:
+    """``ExOracle.unread`` gives back a suffix of the latest batch."""
+
+    @staticmethod
+    def oracle(n, seed=0):
+        spec = JuntaSpec(n, (0, n - 1), make_parity(2, 0b11))
+        rng = make_rng(seed, "unread")
+        return ExOracle.from_junta(spec, rng), rng
+
+    @pytest.mark.parametrize("n", [5, 32, 33, EX_N_MAX])
+    def test_unread_zero_is_a_no_op(self, n):
+        ex, rng = self.oracle(n)
+        ex.draw_batch(9)
+        state = rng.bit_generator.state
+        ex.unread(0)
+        assert rng.bit_generator.state == state
+        assert ex.calls == 9
+
+    @pytest.mark.parametrize("n", [5, 32, 33, EX_N_MAX])
+    def test_unread_of_a_whole_batch_restores_the_state_before_it(self, n):
+        ex, rng = self.oracle(n)
+        ex.draw_batch(4)
+        state = rng.bit_generator.state
+        ex.draw_batch(11)
+        ex.unread(11)
+        assert rng.bit_generator.state == state
+        assert ex.calls == 4
+
+    def test_more_than_the_latest_batch_is_refused(self):
+        ex, _ = self.oracle(10)
+        with pytest.raises(ValueError):
+            ex.unread(1)
+        ex.draw_batch(5)
+        ex.draw_batch(3)
+        with pytest.raises(ValueError):
+            ex.unread(4)
+        with pytest.raises(ValueError):
+            ex.unread(-1)
+        ex.unread(2)  # the kept example is now the latest batch
+        with pytest.raises(ValueError):
+            ex.unread(2)
+        ex.unread(1)
+        assert ex.calls == 5
+
+    @pytest.mark.parametrize("n", [5, 20, 32, 33, EX_N_MAX])
+    def test_draws_after_an_unread_skip_the_given_back_examples(self, n):
+        ex, rng = self.oracle(n, seed=3)
+        a, _ = ex.draw_batch(10)
+        b, _ = ex.draw_batch(7)
+        ex.unread(4)
+        c, _ = ex.draw_batch(20)
+        ex.unread(5)
+        kept = np.concatenate([a, b[:3], c[:15]])
+
+        ref, ref_rng = self.oracle(n, seed=3)
+        one_by_one = [ref.draw().x for _ in range(28)]
+        scalar = make_rng(3, "unread")
+        assert kept.tolist() == one_by_one == [
+            int(scalar.integers(0, 1 << n)) for _ in range(28)]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state \
+            == scalar.bit_generator.state
+        assert ex.calls == ref.calls == 28
+
+
 class TestAnalyticReject:
     def test_slot_marginal_is_uniform(self):
         inst = sample_reject_instance(3, 20, make_rng(0, "rj"))
