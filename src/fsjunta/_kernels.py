@@ -1,8 +1,10 @@
 """Hot integer kernels in plain numpy: the spectral butterfly, the
-fiber sums that are the adjoint of :func:`fsjunta.boolfn.lift`, and the
-subset majority-vote scan built on them.
+fiber sums that are the adjoint of :func:`fsjunta.boolfn.lift`, the
+subset majority-vote scan built on them, and the decimal digit encoder
+behind the CSV writer.
 
-Every kernel works in int64, so everything downstream is exact.
+Every kernel works in 64-bit integers (int64; the digit encoder in
+uint64), so everything downstream is exact.
 ``e2ebench/run.py`` times them end to end, inside the experiments that
 use them.
 """
@@ -59,6 +61,30 @@ def junta_errors(values: np.ndarray, positions: np.ndarray) -> int:
     neg = cell_sums(values < 0, positions)
     fiber = values.shape[0] >> positions.shape[0]
     return int(np.minimum(neg, fiber - neg).sum())
+
+
+def decimal_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ASCII decimal digits of non-negative integers, one column per value.
+
+    Returns a ``(width, N)`` uint8 matrix, with ``width`` the digit count of
+    the largest value and each value right-aligned in its column, and the
+    mask of the digits that are not leading zeros: row ``width - 1 - p``
+    holds the ``10**p`` digit and is kept iff the value is ``>= 10**p``
+    (the units row always). Values are read as uint64, so any int64 or
+    uint64 column of non-negative values is exact.
+    """
+    rest = values.astype(np.uint64)
+    width = len(str(int(rest.max()))) if rest.size else 1
+    digits = np.empty((width, rest.size), dtype=np.uint8)
+    keep = np.empty((width, rest.size), dtype=bool)
+    for row in range(width - 1, -1, -1):
+        # Row width-1-p: rest is values // 10**p, nonzero iff values >= 10**p.
+        np.not_equal(rest, 0, out=keep[row])
+        np.remainder(rest, 10, out=digits[row], casting="unsafe")
+        np.floor_divide(rest, 10, out=rest)
+    digits += ord("0")
+    keep[width - 1] = True
+    return digits, keep
 
 
 def backend() -> str:

@@ -11,7 +11,8 @@ rows are a list of dicts. fs-dist is a single draw batch from one table,
 and its rows are one numpy record array with one record per subset mask.
 
 Output format: one CSV row per trial and arm, or per mask for fs-dist
-(header is a stable interface), written column-wise by one formatter, plus
+(header is a stable interface), built column-wise in numpy by one writer
+(non-negative ints as digit matrices, other values through ``str``), plus
 a ``<out>.summary`` sidecar of ``key = value`` lines holding the aggregate
 rates, their two-sided Chernoff half-width at the configured delta, and
 timing.
@@ -29,6 +30,7 @@ import numpy as np
 from .boolfn import (N_MAX, JuntaSpec, TruthTable, make_parity, mask_from_vars,
                      random_junta_spec, random_table, realize_accept, realize_reject,
                      sample_accept_instance, sample_reject_instance)
+from ._kernels import decimal_cells
 from .fourier import wht
 from .learning import hypothesis_error, learn_junta
 from .oracles import (EX_N_MAX, ExOracle, FsOracle, derive_seed, fresh_accept_source,
@@ -446,25 +448,54 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return result
 
 
+def _cells(column) -> tuple[np.ndarray, np.ndarray]:
+    """One CSV column as a ``(width, N)`` uint8 matrix of cell bytes and the
+    mask of the bytes that belong to each cell.
+
+    Non-negative integers that fit in 64 bits are encoded by
+    :func:`decimal_cells`. Every other value (a string, a float, a bool, a
+    negative or wider int) is ``str(value)`` packed in an ``S`` array, whose
+    NUL padding is masked off. A list of ints is never read as floats."""
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind in "iu" and column.min() >= 0:
+            return decimal_cells(column)
+        column = column.tolist()
+    elif all(type(value) is int for value in column):
+        try:
+            return decimal_cells(np.array(column, dtype=np.uint64))
+        except OverflowError:  # a negative int, or one wider than 64 bits
+            pass
+    text = np.array([str(value).encode() for value in column], dtype=bytes)
+    cells = text.view(np.uint8).reshape(len(column), -1).T
+    return cells, cells != 0
+
+
 def _write_outputs(cfg: ExperimentConfig, rows: list[dict] | np.ndarray,
                    summary: dict):
-    """Write the rows as CSV, one column at a time, and the summary sidecar.
+    """Write the rows as CSV and the summary sidecar.
 
     Fields go in ``COLUMNS`` order with CRLF line ends and no quoting (no
     field holds a comma or a quote); each value is written as ``str`` gives
-    it, so floats by their ``repr`` and NaN as ``nan``."""
+    it, so floats by their ``repr`` and NaN as ``nan``. The body is built in
+    numpy: every column is a byte matrix from :func:`_cells`, stacked with
+    constant separator rows, and one boolean compress of the stack, row by
+    row, gives the bytes of the file."""
     out_path = Path(cfg.out)
     if out_path.parent != Path(""):
         out_path.parent.mkdir(parents=True, exist_ok=True)
     names = COLUMNS[cfg.kind]
-    if isinstance(rows, np.ndarray):
-        columns = [rows[c].tolist() for c in names]
-    else:
-        columns = [[r[c] for r in rows] for c in names]
-    line = ",".join(["{}"] * len(names)) + "\r\n"
-    with out_path.open("w", newline="") as fh:
-        fh.write(",".join(names) + "\r\n")
-        fh.write("".join(map(line.format, *columns)))
+    body = b""
+    if len(rows):
+        blocks, keeps = [], []
+        for name, sep in zip(names, [b","] * (len(names) - 1) + [b"\r\n"]):
+            column = rows[name] if isinstance(rows, np.ndarray) else [r[name] for r in rows]
+            cells, keep = _cells(column)
+            blocks += [cells, np.frombuffer(sep, np.uint8)[:, None].repeat(len(rows), 1)]
+            keeps += [keep, np.ones((len(sep), len(rows)), dtype=bool)]
+        body = np.concatenate(blocks).T[np.concatenate(keeps).T].tobytes()
+    with out_path.open("wb") as fh:
+        fh.write(",".join(names).encode() + b"\r\n")
+        fh.write(body)
     summary_path = out_path.with_name(out_path.name + ".summary")
     with summary_path.open("w") as fh:
         for key, value in summary.items():

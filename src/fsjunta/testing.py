@@ -113,12 +113,11 @@ def collision_features(slots: np.ndarray, x_masks: np.ndarray) -> tuple[int, boo
     iff some slot appears with address masks of both size parities, which
     is impossible under an accept instance.
     """
-    slots = np.asarray(slots, dtype=np.int64)
-    parity = np.bitwise_count(np.asarray(x_masks).astype(np.uint64)).astype(np.int64) & 1
-    distinct = np.unique(slots).size
-    collisions = int(slots.size - distinct)
-    pairs = np.unique(slots * 2 + parity).size
-    return collisions, pairs > distinct
+    # Transcripts are a few draws long, where Python sets beat np.unique.
+    slots = np.asarray(slots).tolist()
+    parities = [mask.bit_count() & 1 for mask in np.asarray(x_masks).tolist()]
+    distinct = len(set(slots))
+    return len(slots) - distinct, len(set(zip(slots, parities))) > distinct
 
 
 def collision_distinguisher(source: TranscriptSource, num_draws: int,

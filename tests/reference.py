@@ -175,3 +175,13 @@ def naive_csv(columns, rows) -> bytes:
     for row in rows:
         writer.writerow(row if isinstance(row, dict) else {c: row[c] for c in columns})
     return buf.getvalue().encode()
+
+
+def unique_collision_features(slots, x_masks):
+    """Collision features through numpy: distinct slots and distinct
+    (slot, mask-size parity) keys counted with ``np.unique``."""
+    slots = np.asarray(slots, dtype=np.int64)
+    parity = np.bitwise_count(np.asarray(x_masks).astype(np.uint64)).astype(np.int64) & 1
+    distinct = np.unique(slots).size
+    pairs = np.unique(slots * 2 + parity).size
+    return int(slots.size - distinct), bool(pairs > distinct)

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import fsjunta
 from fsjunta import chernoff_halfwidth, chernoff_trials, chi_square_gof
@@ -303,6 +305,30 @@ def test_outputs_match_the_pinned_digests(tmp_path, name):
     assert canonical_digests(result.out_path) == digests
 
 
+# Cell values for the writer's property tests: ints at every digit-width
+# change, uint64 seeds, negative and wider ints, floats, bools and strings.
+_WIDTH_EDGES = [0, 1, 9, 10, 99, 100, 999, 1000, 10**18, 2**63 - 1]
+_INT64 = st.one_of(st.sampled_from(_WIDTH_EDGES), st.integers(0, 2**63 - 1))
+_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 1e-20, 0.1 + 0.2,
+                                     0.0, -0.0, 12.0]),
+                    st.floats(allow_nan=True, allow_infinity=True))
+CELLS = {
+    "int": _INT64,
+    "seed": st.integers(0, 2**64 - 1),
+    "signed": st.integers(-2**70, 2**70),
+    "float": _FLOATS,
+    "str": st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_.", max_size=16),
+    "mixed": st.one_of(st.sampled_from(_WIDTH_EDGES), st.integers(-2**64, 2**65),
+                       _FLOATS, st.booleans(), st.sampled_from(["success", "I", ""])),
+}
+RECORD_CELLS = {
+    "int64": _INT64,
+    "uint64": st.integers(0, 2**64 - 1),
+    "int32": st.integers(-2**31, 2**31 - 1),
+    "float64": _FLOATS,
+}
+
+
 class TestCsvWriter:
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_every_kind_writes_what_dictwriter_writes(self, tmp_path, name):
@@ -329,6 +355,47 @@ class TestCsvWriter:
         data = out_path.read_bytes()
         assert data == naive_csv(COLUMNS["learn-junta"], rows)
         assert b",nan," in data and b"0.30000000000000004\r\n" in data
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_dict_rows_write_what_dictwriter_writes(self, tmp_path, data):
+        names = COLUMNS["learn-junta"]
+        kinds = data.draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=len(names),
+                                   max_size=len(names)))
+        count = data.draw(st.integers(0, 12))
+        rows = [{name: data.draw(CELLS[kind]) for name, kind in zip(names, kinds)}
+                for _ in range(count)]
+        cfg = ExperimentConfig("learn-junta", out=str(tmp_path / "p.csv"))
+        out_path, _ = _write_outputs(cfg, rows, {})
+        assert out_path.read_bytes() == naive_csv(names, rows)
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_record_rows_write_what_dictwriter_writes(self, tmp_path, data):
+        names = COLUMNS["fs-dist"]
+        count = data.draw(st.integers(0, 12))
+        arrays = []
+        for _ in names:
+            dtype, values = data.draw(st.sampled_from(sorted(RECORD_CELLS.items())))
+            arrays.append(np.array(data.draw(st.lists(values, min_size=count,
+                                                      max_size=count)), dtype=dtype))
+        rows = np.rec.fromarrays(arrays, names=names)
+        cfg = ExperimentConfig("fs-dist", out=str(tmp_path / "r.csv"))
+        out_path, _ = _write_outputs(cfg, rows, {})
+        assert out_path.read_bytes() == naive_csv(names, rows)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_one_and_zero_rows_of_either_form(self, tmp_path, count):
+        rows = [{"mask": 2**64 - 1, "expected_weight": -3, "observed": 0.5}][:count]
+        records = np.rec.fromarrays([np.array([10], dtype=np.uint64)[:count],
+                                     np.array([0])[:count], np.array([99])[:count]],
+                                    names=COLUMNS["fs-dist"])
+        cfg = ExperimentConfig("fs-dist", out=str(tmp_path / "o.csv"))
+        for form in (rows, records):
+            out_path, _ = _write_outputs(cfg, form, {})
+            assert out_path.read_bytes() == naive_csv(COLUMNS["fs-dist"], form)
 
     def test_zero_rows_give_a_header_only_file(self, tmp_path):
         result = run_experiment(ExperimentConfig(

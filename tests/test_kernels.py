@@ -36,3 +36,22 @@ def test_numpy_junta_errors_match_the_naive_count():
 
 def test_backend_name_is_consistent():
     assert _kernels.backend() == "numpy"
+
+
+def _decoded(cells, keep):
+    return [bytes(cells[keep[:, j], j]).decode() for j in range(cells.shape[1])]
+
+
+def test_decimal_cells_spell_str_of_each_value():
+    edges = [0, 1, 9, 10, 99, 100, 101, 999_999, 10**18, 2**63 - 1, 10**19 - 1,
+             10**19, 2**64 - 1]
+    draw = np.random.default_rng(8).integers(0, 2**64 - 1, size=500,
+                                             dtype=np.uint64, endpoint=True)
+    for values in (np.array(edges, dtype=np.uint64), draw,
+                   np.array([0, 0, 0]), np.array([7]), np.arange(12, dtype=np.int64)):
+        cells, keep = _kernels.decimal_cells(values)
+        assert cells.dtype == np.uint8 and cells.shape == keep.shape
+        assert cells.shape[1] == values.size
+        assert _decoded(cells, keep) == [str(int(v)) for v in values]
+    cells, keep = _kernels.decimal_cells(np.array([], dtype=np.int64))
+    assert cells.shape == keep.shape == (1, 0)

@@ -36,6 +36,7 @@ from fsjunta.testing import (
     histogram_tv,
     scenario_oracle,
 )
+from reference import unique_collision_features
 
 
 class TestJuntaTest:
@@ -168,6 +169,22 @@ class TestCollisionFeatures:
         slots = np.array([1, 2, 3])
         masks = np.array([0b1, 0b1, 0b1])
         assert collision_features(slots, masks) == (0, False)
+
+    def test_sets_match_the_unique_formula_on_random_transcripts(self):
+        rng = make_rng(0, "features")
+        flagged = 0
+        for trial in range(500):
+            r = int(rng.integers(1, 6))
+            m = 1 if trial % 10 == 0 else int(rng.integers(1, 25))
+            source = (fresh_accept_source if trial % 2 else fresh_reject_source)(r, r + (1 << r))
+            slots, masks = source(rng, m)
+            if trial % 7 == 0:
+                slots = np.full(m, slots[0])
+            got = collision_features(slots, masks)
+            assert got == unique_collision_features(slots, masks)
+            assert type(got[0]) is int and type(got[1]) is bool
+            flagged += got[1]
+        assert 0 < flagged < 500
 
 
 class TestCollisionDistinguisher:
