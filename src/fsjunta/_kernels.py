@@ -77,11 +77,18 @@ def decimal_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     width = len(str(int(rest.max()))) if rest.size else 1
     digits = np.empty((width, rest.size), dtype=np.uint8)
     keep = np.empty((width, rest.size), dtype=bool)
+    low = np.empty(rest.size, dtype=np.uint8)
     for row in range(width - 1, -1, -1):
         # Row width-1-p: rest is values // 10**p, nonzero iff values >= 10**p.
         np.not_equal(rest, 0, out=keep[row])
-        np.remainder(rest, 10, out=digits[row], casting="unsafe")
+        # One division per digit. The digit is rest - 10 * (rest // 10), and
+        # uint8 arithmetic wraps modulo 256, so the low bytes of rest and of
+        # rest // 10 give it exactly.
+        np.copyto(digits[row], rest, casting="unsafe")
         np.floor_divide(rest, 10, out=rest)
+        np.copyto(low, rest, casting="unsafe")
+        low *= 10
+        digits[row] -= low
     digits += ord("0")
     keep[width - 1] = True
     return digits, keep

@@ -4,9 +4,11 @@ Everything here works straight from definitions (explicit products and
 loops), never through the package's transform or kernel paths, so a test
 comparing the two exercises genuinely independent routes.
 """
+import bisect
 import csv
 import io
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -164,6 +166,16 @@ def naive_lift_mask(inner_mask: int, relevant) -> int:
     for t, p in enumerate(relevant):
         out |= ((inner_mask >> t) & 1) << p
     return out
+
+
+def naive_spectral_batch(masks, weights, total, rng, m) -> np.ndarray:
+    """m subset draws with probability ``weights[i] / total`` for
+    ``masks[i]``: one uniform key below ``total`` per draw, all drawn as one
+    int64 batch, each located on its own by bisection in the prefix sums."""
+    cum = list(accumulate(int(w) for w in weights))
+    keys = rng.integers(0, total, size=m, dtype=np.int64)
+    idx = [bisect.bisect_right(cum, int(key)) for key in keys]
+    return masks[np.array(idx, dtype=np.intp)]
 
 
 def naive_csv(columns, rows) -> bytes:

@@ -36,7 +36,7 @@ from fsjunta.oracles import (
     masks_from_transcript,
     reject_transcript,
 )
-from reference import naive_lift_mask
+from reference import naive_lift_mask, naive_spectral_batch
 
 AND2 = TruthTable(2, np.array([1, 1, 1, -1], dtype=np.int8))
 
@@ -445,3 +445,109 @@ class TestTranscriptPlumbing:
         a = reject_transcript(inst, make_rng(5, "rep"), 1000)
         b = reject_transcript(inst, make_rng(5, "rep"), 1000)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+BATCH_SIZES = [0, 1, 2, 1300, 1 << 16]
+
+
+def spectral_support(table):
+    """The nonzero-weight subsets of a table and their squared coefficients."""
+    weights = wht(table).coeffs.astype(np.int64) ** 2
+    nonzero = np.flatnonzero(weights)
+    return nonzero, weights[nonzero]
+
+
+def junta_support(spec):
+    """The inner support of a junta, lifted bit by bit to its ambient masks."""
+    inner, weights = spectral_support(spec.inner)
+    masks = np.array([naive_lift_mask(int(s), spec.relevant) for s in inner],
+                     dtype=mask_dtype(spec.n))
+    return masks, weights
+
+
+class TestSortedKeySampling:
+    """The batch sampler against one bisection per key, from equal seeds:
+    the same masks in draw order, calls and final generator state."""
+
+    @staticmethod
+    def check(build, masks, weights, total, m, seed=0):
+        rng = make_rng(seed, "sorted-key")
+        fs = build(rng)
+        want_rng = make_rng(seed, "sorted-key")
+        want = naive_spectral_batch(masks, weights, total, want_rng, m)
+        got = fs.draw_batch(m)
+        assert got.dtype == want.dtype and got.shape == (m,)
+        assert got.tolist() == want.tolist()
+        assert fs.calls == m
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_and2_heavy_ties(self):
+        # total 16 over 10^4 keys: every key value repeats hundreds of times
+        # and keys equal to a prefix sum sit on a bin boundary
+        masks, weights = spectral_support(AND2)
+        self.check(lambda rng: FsOracle.from_table(AND2, rng),
+                   masks, weights, 16, 10_000)
+
+    @pytest.mark.parametrize("m", BATCH_SIZES)
+    @pytest.mark.parametrize("n", range(6, 15))
+    def test_random_tables(self, n, m):
+        table = random_table(n, make_rng(n, "sorted-key-table"))
+        masks, weights = spectral_support(table)
+        self.check(lambda rng: FsOracle.from_table(table, rng),
+                   masks, weights, 1 << (2 * n), m, seed=n)
+
+    @pytest.mark.parametrize("m", BATCH_SIZES)
+    def test_parity_point_mass(self, m):
+        table = make_parity(8, 0b10110001)
+        masks, weights = spectral_support(table)
+        assert masks.tolist() == [0b10110001]
+        self.check(lambda rng: FsOracle.from_table(table, rng),
+                   masks, weights, 1 << 16, m)
+
+    @pytest.mark.parametrize("m", BATCH_SIZES)
+    @pytest.mark.parametrize("n", [20, 62, 1024])
+    def test_junta(self, n, m):
+        rng = make_rng(n, "sorted-key-junta")
+        spec = JuntaSpec(n, spread_positions(n, 12, rng), random_table(12, rng))
+        masks, weights = junta_support(spec)
+        self.check(lambda rng: FsOracle.from_junta(spec, rng),
+                   masks, weights, 1 << 24, m)
+
+    @pytest.mark.parametrize("n", [10, 1024])
+    def test_failure_knob_batch_is_a_sequence_of_draws(self, n):
+        rng = make_rng(n, "sorted-key-fail")
+        spec = JuntaSpec(n, spread_positions(n, 8, rng), random_table(8, rng))
+        masks, weights = junta_support(spec)
+
+        batch_rng, draw_rng, want_rng = (make_rng(0, "sorted-key-fail") for _ in range(3))
+        batch = FsOracle.from_junta(spec, batch_rng, failure_prob=1e-12).draw_batch(500)
+        one_at_a_time = FsOracle.from_junta(spec, draw_rng, failure_prob=1e-12)
+        draws = [one_at_a_time.draw() for _ in range(500)]
+        want = []
+        for _ in range(500):
+            assert want_rng.random() >= 1e-12
+            want.append(int(naive_spectral_batch(masks, weights, 1 << 16, want_rng, 1)[0]))
+        assert batch.dtype == mask_dtype(n)
+        assert batch.tolist() == draws == want
+        assert (batch_rng.bit_generator.state == draw_rng.bit_generator.state
+                == want_rng.bit_generator.state)
+
+    def test_failed_draws_consume_no_key(self):
+        # a failed call draws its failure coin and nothing else
+        masks, weights = spectral_support(AND2)
+        rng = make_rng(0, "sorted-key-fails")
+        fs = FsOracle.from_table(AND2, rng, failure_prob=0.5)
+        want_rng = make_rng(0, "sorted-key-fails")
+        got, want = [], []
+        for _ in range(400):
+            try:
+                got.append(fs.draw())
+            except FsFailure:
+                got.append(None)
+            if want_rng.random() < 0.5:
+                want.append(None)
+            else:
+                want.append(int(naive_spectral_batch(masks, weights, 16, want_rng, 1)[0]))
+        assert None in got and got == want
+        assert fs.calls == 400
+        assert rng.bit_generator.state == want_rng.bit_generator.state
