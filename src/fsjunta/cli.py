@@ -1,5 +1,8 @@
 """Command-line entry point: one subcommand per experiment kind.
 
+Each field of ``ExperimentConfig`` but ``kind`` is one ``--flag`` (``-`` for
+``_``) and one config-file key; both reach ``config_from_mapping`` as text,
+which parses them by the field's type and validates the config once.
 Exit codes: 0 on success, 2 on configuration errors, 3 when the optional
 wall-clock budget truncated the run (partial outputs are still written).
 """
@@ -7,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from .harness import (
     EXIT_BUDGET,
@@ -18,29 +22,33 @@ from .harness import (
     config_from_mapping,
     parse_config_file,
     run_experiment,
-    validate_config,
 )
+
+
+_HELP = {
+    "seed": "master seed",
+    "trials": "trial count",
+    "out": "CSV output path (summary goes to <out>.summary)",
+    "delta": "confidence level for the reported interval",
+    "eps": "accuracy parameter",
+    "k": "junta size bound",
+    "n": "ambient variable count",
+    "r": "address-variable count of the instance families",
+    "num_draws": "oracle draws per transcript or distribution test",
+    "c": "scenario distinguisher constant",
+    "target": "target family for test-junta/learn-junta/fs-dist",
+    "max_ex": "learner stage-2 example cap override",
+    "max_seconds": "wall-clock budget; exceeding it exits with code 3",
+}
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key = value config file; flags override it")
-    sub.add_argument("--seed", type=int, help="master seed (default 0)")
-    sub.add_argument("--trials", type=int, help="trial count (default 100)")
-    sub.add_argument("--out", help="CSV output path (summary goes to <out>.summary)")
-    sub.add_argument("--delta", type=float,
-                     help="confidence level for the reported interval (default 0.05)")
-    sub.add_argument("--eps", type=float, help="accuracy parameter (default 0.1)")
-    sub.add_argument("--k", type=int, help="junta size bound")
-    sub.add_argument("--n", type=int, help="ambient variable count")
-    sub.add_argument("--r", type=int, help="address-variable count of the instance families")
-    sub.add_argument("--num-draws", type=int, dest="num_draws",
-                     help="oracle draws per transcript or distribution test")
-    sub.add_argument("--c", type=float, help="scenario distinguisher constant (default 8)")
-    sub.add_argument("--target", help="target family for test-junta/learn-junta/fs-dist")
-    sub.add_argument("--max-ex", type=int, dest="max_ex",
-                     help="learner stage-2 example cap override")
-    sub.add_argument("--max-seconds", type=float, dest="max_seconds",
-                     help="wall-clock budget; exceeding it exits with code 3")
+    for f in fields(ExperimentConfig):
+        if f.name != "kind":  # the subcommand
+            default = "" if f.default is None else f" (default {f.default})"
+            sub.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
+                             help=_HELP[f.name] + default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,28 +63,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _assemble(args: argparse.Namespace) -> ExperimentConfig:
-    mapping: dict = {}
-    if args.config:
-        mapping.update(parse_config_file(args.config))
-    file_kind = mapping.get("kind")
-    if file_kind is not None and file_kind != args.kind:
-        raise ConfigError(
-            f"config file kind {file_kind!r} conflicts with subcommand {args.kind!r}")
-    mapping["kind"] = args.kind
-    for key in ("seed", "trials", "out", "delta", "eps", "k", "n", "r",
-                "num_draws", "c", "target", "max_ex", "max_seconds"):
-        value = getattr(args, key)
-        if value is not None:
-            mapping[key] = value
-    cfg = config_from_mapping(mapping)
-    if cfg.out is None:
-        cfg.out = f"{cfg.kind}.csv"
-    return validate_config(cfg)
+    """The validated config of a command line; its flags override the file."""
+    mapping = parse_config_file(args.config) if args.config else {}
+    if mapping.get("kind", args.kind) != args.kind:
+        raise ConfigError(f"config file kind {mapping['kind']!r} conflicts "
+                          f"with subcommand {args.kind!r}")
+    mapping.update((key, value) for key, value in vars(args).items()
+                   if value is not None and key != "config")
+    mapping.setdefault("out", f"{args.kind}.csv")
+    return config_from_mapping(mapping)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _assemble(args)
     except (ConfigError, OSError) as exc:

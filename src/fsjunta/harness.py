@@ -22,8 +22,9 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -44,8 +45,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
-KINDS = ("test-junta", "learn-junta", "lb-collision", "lb-tv", "scenario", "fs-dist")
-
 COLUMNS = {
     "test-junta": ["trial", "seed", "decision", "correct", "num_exposed",
                    "queries", "wall_ms"],
@@ -59,6 +58,7 @@ COLUMNS = {
                  "queries", "wall_ms"],
     "fs-dist": ["mask", "expected_weight", "observed"],
 }
+KINDS = tuple(COLUMNS)
 
 _TARGETS = {
     "test-junta": ("junta", "parity", "reject", "accept"),
@@ -89,8 +89,8 @@ class ExperimentConfig:
     max_seconds: float | None = None
 
 
-_INT_FIELDS = {"seed", "trials", "k", "n", "r", "num_draws", "max_ex"}
-_FLOAT_FIELDS = {"delta", "eps", "c", "max_seconds"}
+_FIELD_TYPES = {name: next(t for t in get_args(hint) or (hint,) if t is not type(None))
+                for name, hint in get_type_hints(ExperimentConfig).items()}
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -108,20 +108,15 @@ def parse_config_file(path: str | Path) -> dict:
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
-    known = {f.name for f in fields(ExperimentConfig)}
+    """Parse each value (a flag's or a file's text) by its field's type; validate."""
     coerced: dict = {}
     for key, value in mapping.items():
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
         if value is None:
             continue
         try:
-            if key in _INT_FIELDS:
-                coerced[key] = int(value)
-            elif key in _FLOAT_FIELDS:
-                coerced[key] = float(value)
-            else:
-                coerced[key] = str(value)
+            coerced[key] = _FIELD_TYPES[key](value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
     if "kind" not in coerced:
@@ -151,12 +146,17 @@ def _fit_family(cfg: ExperimentConfig, family: str) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
+    if not -2**63 <= cfg.seed < 2**63:
+        raise ConfigError("seed must fit in a signed 64-bit integer")
     if cfg.trials < 1:
         raise ConfigError("trials must be at least 1")
     if not 0 < cfg.delta <= 1:
         raise ConfigError("delta must be in (0, 1]")
     if not 0 < cfg.eps <= 1:
         raise ConfigError("eps must be in (0, 1]")
+    for name in ("c", "max_seconds"):
+        if getattr(cfg, name) is not None and not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be finite")
     for name in ("k", "n", "r", "num_draws", "max_ex"):
         if getattr(cfg, name) is not None and getattr(cfg, name) < 0:
             raise ConfigError(f"{name} must be non-negative")

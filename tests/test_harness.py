@@ -2,8 +2,10 @@ import csv
 import hashlib
 import math
 import os
+import shlex
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import fsjunta
 from fsjunta import chernoff_halfwidth, chernoff_trials, chi_square_gof
+from fsjunta.cli import _assemble, build_parser
 from fsjunta.cli import main as cli_main
 from fsjunta.harness import (
     COLUMNS,
@@ -473,6 +476,12 @@ class TestCli:
         "lb-collision --r 3 --n 20 --num-draws 0",
         "lb-tv --r 3 --n 20 --num-draws 0",
         "learn-junta --k 3 --n 10 --max-ex -5",
+        "test-junta --k 2 --n 6 --seed 99999999999999999999999",
+        "test-junta --k 2 --n 6 --seed 9223372036854775808",
+        "test-junta --k 2 --n 6 --seed -9223372036854775809",
+        "scenario --k 3 --c nan",
+        "scenario --k 3 --c inf",
+        "test-junta --k 2 --n 6 --max-seconds nan",
     ])
     def test_out_of_range_parameters_exit_two(self, tmp_path, capsys, argv):
         code = cli_main(argv.split() + ["--trials", "2",
@@ -481,6 +490,50 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("seed", [-2**63, 2**63 - 1])
+    @pytest.mark.parametrize("argv", [
+        "test-junta --k 2 --n 6",
+        "learn-junta --k 2 --n 6",
+        "lb-collision --r 2 --n 8 --num-draws 5",
+        "lb-tv --r 2 --n 8 --num-draws 5",
+        "scenario --k 2",
+        "fs-dist --target and2 --num-draws 10",
+    ])
+    def test_seeds_at_the_signed_64_bit_ends_run(self, tmp_path, capsys, argv, seed):
+        code = cli_main(argv.split() + ["--trials", "2", "--seed", str(seed),
+                                        "--out", str(tmp_path / "x.csv")])
+        assert code == 0
+
+    @pytest.mark.parametrize("field", [f for f in fields(ExperimentConfig)
+                                       if f.name != "kind"], ids=lambda f: f.name)
+    def test_each_setting_is_one_flag_and_one_key(self, tmp_path, capsys, field):
+        # a value that differs from the default and validates on top of base
+        value = {"seed": -5, "trials": 3, "out": "runs/x.csv", "delta": 0.2,
+                 "eps": 0.25, "k": 3, "n": 9, "r": 2, "num_draws": 40, "c": 2.5,
+                 "target": "parity", "max_ex": 100, "max_seconds": 1.5}[field.name]
+        base, keyed = tmp_path / "base.cfg", tmp_path / "keyed.cfg"
+        base.write_text("k = 2\nn = 8\n")
+        keyed.write_text(f"k = 2\nn = 8\n{field.name} = {value}\n")
+        flag = "--" + field.name.replace("_", "-")
+        args = build_parser().parse_args(["test-junta", "--config", str(base),
+                                          flag, str(value)])
+        assert getattr(args, field.name) == str(value)  # parsed by the config only
+        by_flag = _assemble(args)
+        by_key = _assemble(build_parser().parse_args(["test-junta", "--config",
+                                                      str(keyed)]))
+        assert by_flag == by_key
+        assert getattr(by_key, field.name) == value
+        assert type(getattr(by_key, field.name)) is type(value)
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["test-junta", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        entry = text.split(f" {flag} {field.name.upper()} ", 1)[1].split(" --", 1)[0]
+        if field.default is None:
+            assert "(default" not in entry
+        else:
+            assert entry.endswith(f"(default {field.default})")
+
     def test_import_leaves_scipy_unloaded(self):
         # scipy is most of the import time; only fs-dist's chi-square needs it
         probe = "import sys, fsjunta.cli; print('scipy' in sys.modules)"
@@ -488,3 +541,16 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                              text=True, check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "False"
+
+
+def _readme_commands() -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1]
+    return [line for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("fsjunta ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_lines_validate(line):
+    argv = shlex.split(line)[1:]
+    assert _assemble(build_parser().parse_args(argv)).kind == argv[0]
