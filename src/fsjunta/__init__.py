@@ -46,11 +46,9 @@ from .learning import (
 )
 from .oracles import (
     ExOracle,
-    FsFailure,
     FsOracle,
     FsOracleError,
     LabeledExample,
-    MqOracle,
     QueryCounter,
     derive_seed,
     make_rng,

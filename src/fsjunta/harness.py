@@ -20,6 +20,7 @@ timing.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -107,6 +108,16 @@ def parse_config_file(path: str | Path) -> dict:
     return mapping
 
 
+def _parse(kind: type, value):
+    """A field's value from its text, or from a value of the field's type.
+    An int field refuses floats, integral ones too, and bools."""
+    if kind is int and not isinstance(value, str):
+        if isinstance(value, bool):
+            raise TypeError("a bool is not an integer")
+        return operator.index(value)
+    return kind(value)
+
+
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Parse each value (a flag's or a file's text) by its field's type; validate."""
     coerced: dict = {}
@@ -116,7 +127,7 @@ def config_from_mapping(mapping: dict) -> ExperimentConfig:
         if value is None:
             continue
         try:
-            coerced[key] = _FIELD_TYPES[key](value)
+            coerced[key] = _parse(_FIELD_TYPES[key], value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
     if "kind" not in coerced:

@@ -1,11 +1,10 @@
 """Simulated information sources with exact distributions and call counting.
 
-Three oracle kinds are provided for a target function f:
+The paper's two information sources are provided for a target function f:
 
 * spectral sampling (``FsOracle``): each call returns a variable subset S
   with probability exactly ``coeffs[S]^2 / 4^n``;
-* uniform labeled examples (``ExOracle``): pairs (x, f(x)) with x uniform;
-* black-box queries (``MqOracle``): f(x) for a chosen x.
+* uniform labeled examples (``ExOracle``): pairs (x, f(x)) with x uniform.
 
 Because the squared coefficients of a table sum to exactly 4^n, a power of
 two, subset sampling reduces to one unbiased uniform integer draw per call
@@ -97,7 +96,6 @@ class QueryCounter:
 
     fs_calls: int = 0
     ex_calls: int = 0
-    mq_calls: int = 0
 
 
 class LabeledExample(NamedTuple):
@@ -107,10 +105,6 @@ class LabeledExample(NamedTuple):
 
 class FsOracleError(ValueError):
     """The oracle would not sample a probability distribution."""
-
-
-class FsFailure(RuntimeError):
-    """A draw flagged as failed by the optional failure knob."""
 
 
 class ExOracle:
@@ -177,24 +171,6 @@ class ExOracle:
     @property
     def calls(self) -> int:
         return self.counter.ex_calls
-
-
-class MqOracle:
-    """Black-box queries: the label of any chosen input."""
-
-    def __init__(self, table: TruthTable, counter: QueryCounter | None = None):
-        self.table = table
-        self.counter = counter if counter is not None else QueryCounter()
-
-    def query(self, x: int) -> int:
-        if not 0 <= x < (1 << self.table.n):
-            raise IndexError(f"input {x} out of range for n={self.table.n}")
-        self.counter.mq_calls += 1
-        return int(self.table.values[x])
-
-    @property
-    def calls(self) -> int:
-        return self.counter.mq_calls
 
 
 def reject_transcript(inst: RejectInstance, rng: np.random.Generator,
@@ -285,44 +261,41 @@ class FsOracle:
     """Subset sampler following the squared spectral weights of a target.
 
     Construct via the classmethods; every variant draws subsets with their
-    exact probabilities and bumps ``counter.fs_calls`` once per draw. With
-    ``failure_prob`` set, each call independently raises :class:`FsFailure`
-    with that probability instead of answering (the call still counts).
+    exact probabilities and bumps ``counter.fs_calls`` once per draw.
+
+    Draws never fail. Bshouty and Jackson's quantum procedure fails with a
+    fixed probability p (1/2 for theirs) independently of its answer, so a
+    failure leaves the law of the successful draws unchanged: m successful
+    draws cost NegBin(m, p) quantum examples, with mean m / (1 - p).
     """
 
-    def __init__(self, n: int, rng: np.random.Generator,
-                 counter: QueryCounter | None, failure_prob: float,
+    # Always 0: draws never fail. The benchmark's tracer reads it.
+    failure_prob = 0.0
+
+    def __init__(self, n: int, counter: QueryCounter | None,
                  sample_batch: Callable[[int], np.ndarray]):
-        if not 0.0 <= failure_prob <= 1.0:
-            raise ValueError("failure probability must be in [0, 1]")
         self.n = n
-        self._rng = rng
         self.counter = counter if counter is not None else QueryCounter()
-        self.failure_prob = failure_prob
         self._sample_batch = sample_batch
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def from_spectrum(cls, sp: Spectrum, rng: np.random.Generator,
-                      counter: QueryCounter | None = None,
-                      failure_prob: float = 0.0) -> "FsOracle":
+                      counter: QueryCounter | None = None) -> "FsOracle":
         weights = sp.coeffs.astype(np.int64) ** 2
         nonzero = np.flatnonzero(weights)
         return cls._from_weights(sp.n, nonzero.astype(mask_dtype(sp.n)),
-                                 weights[nonzero], 1 << (2 * sp.n),
-                                 rng, counter, failure_prob)
+                                 weights[nonzero], 1 << (2 * sp.n), rng, counter)
 
     @classmethod
     def from_table(cls, table: TruthTable, rng: np.random.Generator,
-                   counter: QueryCounter | None = None,
-                   failure_prob: float = 0.0) -> "FsOracle":
-        return cls.from_spectrum(wht(table), rng, counter, failure_prob)
+                   counter: QueryCounter | None = None) -> "FsOracle":
+        return cls.from_spectrum(wht(table), rng, counter)
 
     @classmethod
     def from_junta(cls, spec: JuntaSpec, rng: np.random.Generator,
-                   counter: QueryCounter | None = None,
-                   failure_prob: float = 0.0) -> "FsOracle":
+                   counter: QueryCounter | None = None) -> "FsOracle":
         """Sampler for a junta over any ambient n, via its inner spectrum.
 
         The lifted function's spectrum is the inner one with each inner
@@ -334,38 +307,32 @@ class FsOracle:
         inner_masks = np.flatnonzero(weights)
         lifted = lift_masks(inner_masks, spec.relevant, spec.n)
         return cls._from_weights(spec.n, lifted, weights[inner_masks],
-                                 1 << (2 * spec.inner.n), rng, counter,
-                                 failure_prob)
+                                 1 << (2 * spec.inner.n), rng, counter)
 
     @classmethod
     def for_parity(cls, n: int, subset: int, rng: np.random.Generator,
-                   counter: QueryCounter | None = None,
-                   failure_prob: float = 0.0) -> "FsOracle":
+                   counter: QueryCounter | None = None) -> "FsOracle":
         """Point mass: a parity's sampler always answers its own subset.
         ``subset=0`` covers constant targets."""
         if subset < 0 or subset >= (1 << n):
             raise FsOracleError("parity subset out of range")
         dtype = mask_dtype(n)
-        return cls(n, rng, counter, failure_prob,
-                   lambda m: np.full(m, subset, dtype=dtype))
+        return cls(n, counter, lambda m: np.full(m, subset, dtype=dtype))
 
     @classmethod
     def for_reject(cls, inst: RejectInstance, rng: np.random.Generator,
-                   counter: QueryCounter | None = None,
-                   failure_prob: float = 0.0) -> "FsOracle":
-        return cls(inst.n, rng, counter, failure_prob, _instance_masks(inst, rng))
+                   counter: QueryCounter | None = None) -> "FsOracle":
+        return cls(inst.n, counter, _instance_masks(inst, rng))
 
     @classmethod
     def for_accept(cls, inst: AcceptInstance, rng: np.random.Generator,
-                   counter: QueryCounter | None = None,
-                   failure_prob: float = 0.0) -> "FsOracle":
-        return cls(inst.n, rng, counter, failure_prob, _instance_masks(inst, rng))
+                   counter: QueryCounter | None = None) -> "FsOracle":
+        return cls(inst.n, counter, _instance_masks(inst, rng))
 
     @classmethod
     def _from_weights(cls, n: int, masks: np.ndarray, weights: np.ndarray,
                       total: int, rng: np.random.Generator,
-                      counter: QueryCounter | None,
-                      failure_prob: float) -> "FsOracle":
+                      counter: QueryCounter | None) -> "FsOracle":
         if weights.size == 0 or np.any(weights <= 0):
             raise FsOracleError("weights must be positive")
         cum = np.cumsum(weights)
@@ -384,23 +351,18 @@ class FsOracle:
             idx[order] = np.searchsorted(cum, u[order], side="right")
             return masks[idx]
 
-        return cls(n, rng, counter, failure_prob, sample_batch)
+        return cls(n, counter, sample_batch)
 
     # -- drawing -----------------------------------------------------------
 
     def draw(self) -> int:
         self.counter.fs_calls += 1
-        if self.failure_prob and self._rng.random() < self.failure_prob:
-            raise FsFailure("spectral sampling draw failed")
         return int(self._sample_batch(1)[0])
 
     def draw_batch(self, m: int) -> np.ndarray:
         """m subset masks as a 1-D array of dtype ``mask_dtype(n)``."""
         if m < 0:
             raise ValueError("batch size must be non-negative")
-        if self.failure_prob:
-            return np.array([self.draw() for _ in range(m)],
-                            dtype=mask_dtype(self.n))
         self.counter.fs_calls += m
         return self._sample_batch(m)
 

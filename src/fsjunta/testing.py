@@ -143,14 +143,16 @@ def collision_guess(inconsistent: bool) -> str:
 def transcript_tv_estimate(source_a: TranscriptSource,
                            source_b: TranscriptSource, num_draws: int,
                            trials: int, rng: np.random.Generator) -> float:
-    """Lower-bound the total-variation distance between the two sources'
-    length-``num_draws`` transcript distributions.
+    """Plug-in estimate of the total-variation distance between the two
+    sources' collision-feature distributions on length-``num_draws``
+    transcripts.
 
     Reduces each transcript to its collision features and returns the
     total-variation distance between the two empirical feature histograms.
-    Any statistic of the transcript only loses distinguishing power, so
-    this estimates a lower bound on the transcript-level distance rather
-    than the distance itself.
+    TV is convex, so this plug-in estimate is biased upward: it is not a
+    lower bound. What it estimates, the feature-level TV, is at most the
+    transcript-level TV, since a statistic of the transcript only loses
+    distinguishing power.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

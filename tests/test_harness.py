@@ -119,6 +119,15 @@ class TestConfigHandling:
             "test-junta", 3, 10, 7, 5)
         assert cfg.target == "junta"
 
+    @pytest.mark.parametrize("k", [2.9, 2.0, True])
+    def test_int_field_refuses_floats_and_bools(self, k):
+        with pytest.raises(ConfigError, match="'k'"):
+            config_from_mapping({"kind": "test-junta", "k": k, "n": 8})
+
+    @pytest.mark.parametrize("k", [3, " 3 "])
+    def test_int_field_takes_ints_and_integer_text(self, k):
+        assert config_from_mapping({"kind": "test-junta", "k": k, "n": 8}).k == 3
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             config_from_mapping({"kind": "test-junta", "bogus": "1"})

@@ -4,11 +4,9 @@ import pytest
 from fsjunta import (
     AcceptInstance,
     ExOracle,
-    FsFailure,
     FsOracle,
     FsOracleError,
     JuntaSpec,
-    MqOracle,
     QueryCounter,
     RejectInstance,
     Spectrum,
@@ -122,29 +120,6 @@ class TestFsFromSpectrum:
         assert np.all((draws | relevant_mask) == relevant_mask)
 
 
-class TestFailureKnob:
-    def test_always_fails_at_probability_one(self):
-        fs = FsOracle.from_table(AND2, make_rng(0, "fail"), failure_prob=1.0)
-        with pytest.raises(FsFailure):
-            fs.draw()
-        assert fs.calls == 1  # the failed call still counts
-
-    def test_never_fails_by_default(self):
-        fs = FsOracle.from_table(AND2, make_rng(0, "nofail"))
-        fs.draw_batch(1000)
-        assert fs.calls == 1000
-
-    def test_partial_failure_rate(self):
-        fs = FsOracle.from_table(AND2, make_rng(3, "half"), failure_prob=0.5)
-        failures = 0
-        for _ in range(400):
-            try:
-                fs.draw()
-            except FsFailure:
-                failures += 1
-        assert 140 < failures < 260
-
-
 class TestClassicalOracles:
     def test_ex_labels_match_the_table(self):
         f = make_constant(4, -1)
@@ -190,15 +165,6 @@ class TestClassicalOracles:
         with pytest.raises(ValueError):
             ExOracle.from_junta(spec, make_rng(0, "exbad"))
 
-    def test_mq_returns_exact_labels_and_counts(self):
-        counter = QueryCounter()
-        mq = MqOracle(make_parity(3, 0b001), counter)
-        assert mq.query(0b001) == -1
-        assert mq.query(0b110) == 1
-        assert counter.mq_calls == 2
-        with pytest.raises(IndexError):
-            mq.query(8)
-
     def test_shared_counter_accumulates_by_kind(self):
         counter = QueryCounter()
         f = make_parity(3, 0b011)
@@ -207,7 +173,7 @@ class TestClassicalOracles:
         fs.draw_batch(5)
         ex.draw()
         ex.draw()
-        assert (counter.fs_calls, counter.ex_calls, counter.mq_calls) == (5, 2, 0)
+        assert (counter.fs_calls, counter.ex_calls) == (5, 2)
 
 
 class TestExUnread:
@@ -382,9 +348,8 @@ class TestLargeAmbientDimension:
 
     @pytest.mark.parametrize("n, dtype", [(20, np.int64), (62, np.int64),
                                           (63, object), (1024, object)])
-    def test_failure_knob_batch_has_the_mask_dtype(self, n, dtype):
-        fs = FsOracle.for_parity(n, 1 << (n - 1), make_rng(0, "fk"),
-                                 failure_prob=1e-9)
+    def test_parity_batch_has_the_mask_dtype(self, n, dtype):
+        fs = FsOracle.for_parity(n, 1 << (n - 1), make_rng(0, "dtype"))
         masks = fs.draw_batch(50)
         assert masks.dtype == dtype and masks.shape == (50,)
         assert masks.tolist() == [1 << (n - 1)] * 50
@@ -514,40 +479,18 @@ class TestSortedKeySampling:
                    masks, weights, 1 << 24, m)
 
     @pytest.mark.parametrize("n", [10, 1024])
-    def test_failure_knob_batch_is_a_sequence_of_draws(self, n):
-        rng = make_rng(n, "sorted-key-fail")
+    def test_batch_is_a_sequence_of_draws(self, n):
+        rng = make_rng(n, "sorted-key-seq")
         spec = JuntaSpec(n, spread_positions(n, 8, rng), random_table(8, rng))
         masks, weights = junta_support(spec)
 
-        batch_rng, draw_rng, want_rng = (make_rng(0, "sorted-key-fail") for _ in range(3))
-        batch = FsOracle.from_junta(spec, batch_rng, failure_prob=1e-12).draw_batch(500)
-        one_at_a_time = FsOracle.from_junta(spec, draw_rng, failure_prob=1e-12)
+        batch_rng, draw_rng, want_rng = (make_rng(0, "sorted-key-seq") for _ in range(3))
+        batch = FsOracle.from_junta(spec, batch_rng).draw_batch(500)
+        one_at_a_time = FsOracle.from_junta(spec, draw_rng)
         draws = [one_at_a_time.draw() for _ in range(500)]
-        want = []
-        for _ in range(500):
-            assert want_rng.random() >= 1e-12
-            want.append(int(naive_spectral_batch(masks, weights, 1 << 16, want_rng, 1)[0]))
+        want = [int(naive_spectral_batch(masks, weights, 1 << 16, want_rng, 1)[0])
+                for _ in range(500)]
         assert batch.dtype == mask_dtype(n)
         assert batch.tolist() == draws == want
         assert (batch_rng.bit_generator.state == draw_rng.bit_generator.state
                 == want_rng.bit_generator.state)
-
-    def test_failed_draws_consume_no_key(self):
-        # a failed call draws its failure coin and nothing else
-        masks, weights = spectral_support(AND2)
-        rng = make_rng(0, "sorted-key-fails")
-        fs = FsOracle.from_table(AND2, rng, failure_prob=0.5)
-        want_rng = make_rng(0, "sorted-key-fails")
-        got, want = [], []
-        for _ in range(400):
-            try:
-                got.append(fs.draw())
-            except FsFailure:
-                got.append(None)
-            if want_rng.random() < 0.5:
-                want.append(None)
-            else:
-                want.append(int(naive_spectral_batch(masks, weights, 16, want_rng, 1)[0]))
-        assert None in got and got == want
-        assert fs.calls == 400
-        assert rng.bit_generator.state == want_rng.bit_generator.state

@@ -90,13 +90,6 @@ class TestJuntaTest:
         fs = FsOracle.from_table(make_constant(4, -1), make_rng(0, "c"))
         assert junta_test(fs, 0, 0.1).decision == ACCEPT
 
-    def test_oracle_failures_propagate(self):
-        from fsjunta import FsFailure
-        fs = FsOracle.from_table(make_constant(4, 1), make_rng(0, "pf"),
-                                 failure_prob=1.0)
-        with pytest.raises(FsFailure):
-            junta_test(fs, 2, 0.1)
-
 
 class TestScenarios:
     def test_scenario_one_reads_exactly_the_first_k_plus_one(self):
