@@ -46,14 +46,16 @@ def mask_from_vars(variables: Iterable[int]) -> int:
 
 
 def vars_from_mask(mask: int) -> tuple[int, ...]:
-    out = []
-    i = 0
+    """The set bits of a non-negative mask, ascending. Walks the set bits
+    only, so a wide mask with few of them is cheap."""
     m = int(mask)
+    if m < 0:
+        raise ValueError("a subset mask must be non-negative")
+    out = []
     while m:
-        if m & 1:
-            out.append(i)
-        m >>= 1
-        i += 1
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
     return tuple(out)
 
 

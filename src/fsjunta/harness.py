@@ -46,6 +46,13 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
+#: Largest ambient n a run accepts. A parity target's masks are n-bit
+#: Python ints, so its cost grows with n: two test-junta trials at k = 3
+#: take 0.25 s and 35 MB at n = 2^20, as at n = 64, but 2.4 s and 93 MB at
+#: 2^26 and 9.7 s and 268 MB at 2^28, and ``1 << n`` alone exhausts memory
+#: long before n leaves int64.
+N_AMBIENT_MAX = 1 << 20
+
 COLUMNS = {
     "test-junta": ["trial", "seed", "decision", "correct", "num_exposed",
                    "queries", "wall_ms"],
@@ -146,6 +153,12 @@ def _fit_family(cfg: ExperimentConfig, family: str) -> ExperimentConfig:
     an unset n becomes the smallest that fits."""
     if cfg.r < 1:
         raise ConfigError("the instance families need r >= 1")
+    # Only so that ``1 << r`` below is never computed for a huge r; the n
+    # cap in validate_config refuses every r that passes this check but
+    # does not fit.
+    if cfg.r > N_AMBIENT_MAX.bit_length():
+        raise ConfigError(f"the {family} family at r={cfg.r} needs more than "
+                          f"{N_AMBIENT_MAX} variables")
     room = cfg.r + (1 << cfg.r if family == REJECT else 1 << (cfg.r - 1))
     if cfg.n is None:
         return replace(cfg, n=room)
@@ -225,6 +238,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"fs-dist needs 1 <= n <= {N_MAX} for a dense table")
     if cfg.kind in ("lb-collision", "lb-tv", "fs-dist") and cfg.num_draws < 1:
         raise ConfigError(f"{cfg.kind} needs num_draws >= 1")
+    if cfg.n is not None and cfg.n > N_AMBIENT_MAX:
+        raise ConfigError(f"n must be at most {N_AMBIENT_MAX}")
     return cfg
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boolfn import (N_MAX, JuntaSpec, TruthTable, as_junta, lift,
-                     project_assignments, union_mask, vars_from_mask)
+                     project_assignments)
 from .oracles import ExOracle, FsOracle
 
 #: Entry value marking a hypothesis cell that no example ever reached.
@@ -132,7 +132,7 @@ def find_influential(fs: FsOracle, k: int, eps: float) -> tuple[int, ...]:
         raise ValueError("k must be at least 1")
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
-    return vars_from_mask(union_mask(fs.draw_batch(stage_one_draws(k, eps))))
+    return fs.draw_exposed(stage_one_draws(k, eps))
 
 
 def learn_junta(fs: FsOracle, ex: ExOracle, k: int, eps: float,

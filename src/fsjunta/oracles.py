@@ -19,6 +19,15 @@ possible. A batch of subset masks (bit i set iff variable i is in S) is one
 1-D array of dtype ``mask_dtype(n)``: int64 up to n = 62, else ``object``
 holding exact Python ints. numpy's bit operators, indexing and reductions
 act on both alike, so every sampler has one code path.
+
+Every sampler keeps its masks in its own coordinates and moves them into
+the n ambient variables only at the boundary. A junta's sampler holds
+int64 masks over its k relevant variables plus the map to their ambient
+indices; the other samplers' coordinates are the ambient ones.
+``draw_batch`` lifts just the drawn masks, and ``draw_exposed``, the one
+call the tester, learner stage 1 and scenario distinguisher make, ORs the
+draws where they are and maps only the set bits of the union, so a junta's
+draws never build a wide mask at all.
 """
 from __future__ import annotations
 
@@ -37,6 +46,7 @@ from .boolfn import (
     project_assignments,
     sample_accept_instance,
     sample_reject_instance,
+    union_mask,
     vars_from_mask,
 )
 from .fourier import Spectrum, wht
@@ -54,20 +64,30 @@ def mask_dtype(n: int) -> np.dtype:
     return np.dtype(np.int64 if n <= _MASK64_BITS else object)
 
 
-def lift_masks(inner: np.ndarray, relevant, n: int) -> np.ndarray:
-    """Inner subset masks moved into n ambient variables: bit t of each
-    int64 inner mask becomes bit ``relevant[t]``.
-
-    Each 8-bit chunk of the inner masks goes through one 256-entry lookup
-    table of lifted bits, so a batch costs one gather and OR per chunk.
-    """
+def lift_tables(relevant, n: int) -> tuple[np.ndarray, ...]:
+    """Lookup tables for :func:`lift_masks`: one per 8-bit chunk of the
+    inner masks, whose entry b is the lifted mask of that chunk's bits b."""
     dtype = mask_dtype(n)
-    lifted = np.zeros(inner.shape, dtype=dtype)
+    tables = []
     for lo in range(0, len(relevant), 8):
         table = np.zeros(1, dtype=dtype)
         for p in relevant[lo:lo + 8]:
             table = np.concatenate([table, table | (1 << p)])
-        lifted |= table[(inner >> lo) & 0xFF]
+        tables.append(table)
+    return tuple(tables)
+
+
+def lift_masks(inner: np.ndarray, tables: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Inner subset masks moved into the ambient variables: bit t of each
+    int64 inner mask becomes bit ``relevant[t]``, through the tables that
+    ``lift_tables(relevant, n)`` built.
+
+    Each 8-bit chunk of the inner masks goes through one 256-entry lookup
+    table of lifted bits, so a batch costs one gather and OR per chunk.
+    """
+    lifted = tables[0][inner & 0xFF]
+    for chunk, table in enumerate(tables[1:], 1):
+        lifted |= table[(inner >> (8 * chunk)) & 0xFF]
     return lifted
 
 
@@ -273,10 +293,16 @@ class FsOracle:
     failure_prob = 0.0
 
     def __init__(self, n: int, counter: QueryCounter | None,
-                 sample_batch: Callable[[int], np.ndarray]):
+                 sample_batch: Callable[[int], np.ndarray],
+                 relevant: tuple[int, ...] | None = None):
+        """``sample_batch(m)`` draws m masks in the sampler's own
+        coordinates: bit t is variable ``relevant[t]``, or variable t when
+        ``relevant`` is None."""
         self.n = n
         self.counter = counter if counter is not None else QueryCounter()
         self._sample_batch = sample_batch
+        self._relevant = relevant
+        self._lift_tables = None  # built by the first draw that is lifted
 
     # -- constructors -----------------------------------------------------
 
@@ -285,7 +311,7 @@ class FsOracle:
                       counter: QueryCounter | None = None) -> "FsOracle":
         weights = sp.coeffs.astype(np.int64) ** 2
         nonzero = np.flatnonzero(weights)
-        return cls._from_weights(sp.n, nonzero.astype(mask_dtype(sp.n)),
+        return cls._from_weights(sp.n, nonzero.astype(mask_dtype(sp.n)), None,
                                  weights[nonzero], 1 << (2 * sp.n), rng, counter)
 
     @classmethod
@@ -300,14 +326,15 @@ class FsOracle:
 
         The lifted function's spectrum is the inner one with each inner
         position t moved to variable ``relevant[t]``, so sampling the inner
-        subsets and remapping them is exact.
+        subsets and remapping them is exact. The support stays as int64
+        inner masks; only drawn masks are ever remapped.
         """
         sp = wht(spec.inner)
         weights = sp.coeffs.astype(np.int64) ** 2
-        inner_masks = np.flatnonzero(weights)
-        lifted = lift_masks(inner_masks, spec.relevant, spec.n)
-        return cls._from_weights(spec.n, lifted, weights[inner_masks],
-                                 1 << (2 * spec.inner.n), rng, counter)
+        inner_masks = np.flatnonzero(weights).astype(np.int64, copy=False)
+        return cls._from_weights(spec.n, inner_masks, spec.relevant,
+                                 weights[inner_masks], 1 << (2 * spec.inner.n),
+                                 rng, counter)
 
     @classmethod
     def for_parity(cls, n: int, subset: int, rng: np.random.Generator,
@@ -330,9 +357,13 @@ class FsOracle:
         return cls(inst.n, counter, _instance_masks(inst, rng))
 
     @classmethod
-    def _from_weights(cls, n: int, masks: np.ndarray, weights: np.ndarray,
+    def _from_weights(cls, n: int, masks: np.ndarray,
+                      relevant: tuple[int, ...] | None, weights: np.ndarray,
                       total: int, rng: np.random.Generator,
                       counter: QueryCounter | None) -> "FsOracle":
+        """Sampler over int64 ``masks`` with the given weights. Bit t of a
+        mask is variable ``relevant[t]``; ``relevant=None`` means bit t is
+        variable t."""
         if weights.size == 0 or np.any(weights <= 0):
             raise FsOracleError("weights must be positive")
         cum = np.cumsum(weights)
@@ -351,20 +382,43 @@ class FsOracle:
             idx[order] = np.searchsorted(cum, u[order], side="right")
             return masks[idx]
 
-        return cls(n, counter, sample_batch)
+        return cls(n, counter, sample_batch, relevant)
 
     # -- drawing -----------------------------------------------------------
 
+    def _ambient(self, masks: np.ndarray) -> np.ndarray:
+        """Masks in the sampler's own coordinates moved to the n variables."""
+        if self._relevant is None:
+            return masks
+        if self._lift_tables is None:
+            self._lift_tables = lift_tables(self._relevant, self.n)
+        return lift_masks(masks, self._lift_tables)
+
     def draw(self) -> int:
         self.counter.fs_calls += 1
-        return int(self._sample_batch(1)[0])
+        return int(self._ambient(self._sample_batch(1))[0])
 
     def draw_batch(self, m: int) -> np.ndarray:
         """m subset masks as a 1-D array of dtype ``mask_dtype(n)``."""
         if m < 0:
             raise ValueError("batch size must be non-negative")
         self.counter.fs_calls += m
-        return self._sample_batch(m)
+        return self._ambient(self._sample_batch(m))
+
+    def draw_exposed(self, m: int) -> tuple[int, ...]:
+        """The sorted variables of the union of m subset draws.
+
+        Draws exactly what ``draw_batch(m)`` would, from the same generator
+        stream, and counts m calls, but forms the union in the sampler's own
+        coordinates and maps only its set bits to variables.
+        """
+        if m < 0:
+            raise ValueError("batch size must be non-negative")
+        self.counter.fs_calls += m
+        exposed = vars_from_mask(union_mask(self._sample_batch(m)))
+        if self._relevant is None:
+            return exposed
+        return tuple(self._relevant[t] for t in exposed)
 
     @property
     def calls(self) -> int:

@@ -16,8 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import (JuntaSpec, TruthTable, make_junta, random_table, union_mask,
-                     vars_from_mask)
+from .boolfn import JuntaSpec, TruthTable, make_junta, random_table
 from .oracles import FsOracle, QueryCounter, TranscriptSource
 
 ACCEPT = "accept"
@@ -46,7 +45,7 @@ def junta_test(fs: FsOracle, k: int, eps: float) -> TesterVerdict:
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
     m = math.ceil(10 * (k + 1) / Fraction(str(eps)))
-    exposed = frozenset(vars_from_mask(union_mask(fs.draw_batch(m))))
+    exposed = frozenset(fs.draw_exposed(m))
     decision = ACCEPT if len(exposed) <= k else REJECT
     return TesterVerdict(decision, m, exposed)
 
@@ -102,8 +101,7 @@ def scenario_distinguisher(fs: FsOracle, k: int, c: float = 8.0) -> str:
     if c < 1:
         raise ValueError("need c >= 1")
     m = math.ceil(c * math.log2(k + 2))
-    exposed = vars_from_mask(union_mask(fs.draw_batch(m)))
-    return SCENARIO_I if len(exposed) >= k + 1 else SCENARIO_II
+    return SCENARIO_I if len(fs.draw_exposed(m)) >= k + 1 else SCENARIO_II
 
 
 def collision_features(slots: np.ndarray, x_masks: np.ndarray) -> tuple[int, bool]:

@@ -116,6 +116,19 @@ class TestParity:
         assert mask_from_vars(()) == 0
         assert vars_from_mask(0) == ()
 
+    @pytest.mark.parametrize("bits", [(), (0,), (62,), (63,), (64,), (1023,),
+                                      (0, 62, 63, 64, 1023), (5, 700, 701)])
+    def test_vars_from_mask_walks_the_set_bits(self, bits):
+        mask = mask_from_vars(bits)
+        assert vars_from_mask(mask) == bits
+        assert all(type(v) is int for v in vars_from_mask(mask))
+        if mask < 1 << 63:
+            assert vars_from_mask(np.int64(mask)) == bits
+
+    def test_vars_from_mask_refuses_a_negative_mask(self):
+        with pytest.raises(ValueError):
+            vars_from_mask(-1)
+
     def test_union_mask_of_arrays_and_wide_ints(self):
         assert union_mask(np.array([0b0011, 0b0110], dtype=np.int64)) == 0b0111
         assert union_mask(np.zeros(0, dtype=np.int64)) == 0

@@ -19,6 +19,7 @@ from fsjunta.cli import _assemble, build_parser
 from fsjunta.cli import main as cli_main
 from fsjunta.harness import (
     COLUMNS,
+    N_AMBIENT_MAX,
     ConfigError,
     ExperimentConfig,
     _write_outputs,
@@ -491,6 +492,18 @@ class TestCli:
         "scenario --k 3 --c nan",
         "scenario --k 3 --c inf",
         "test-junta --k 2 --n 6 --max-seconds nan",
+        # n past int64 once reached rng.choice and exited 1
+        "test-junta --target parity --k 3 --n 100000000000000000000",
+        "test-junta --target junta --k 3 --n 100000000000000000000",
+        "test-junta --target reject --r 2 --n 100000000000000000000",
+        f"test-junta --target accept --r 2 --n {N_AMBIENT_MAX + 1}",
+        f"lb-collision --r 2 --n {N_AMBIENT_MAX + 1} --num-draws 3",
+        "lb-tv --r 2 --n 100000000000000000000 --num-draws 3",
+        f"scenario --k 3 --n {N_AMBIENT_MAX + 1}",
+        "fs-dist --target and2 --n 100000000000000000000",
+        # an r whose family cannot fit once reached 1 << r and exited 1
+        "lb-tv --r 100000000000000000000 --n 1000 --num-draws 3",
+        "fs-dist --target accept --r 22",
     ])
     def test_out_of_range_parameters_exit_two(self, tmp_path, capsys, argv):
         code = cli_main(argv.split() + ["--trials", "2",
@@ -498,6 +511,18 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        "test-junta --target parity --k 3",
+        "test-junta --target junta --k 3",
+        "test-junta --target reject --r 2",
+        "lb-tv --r 2 --num-draws 3",
+        "scenario --k 3",
+    ])
+    def test_the_largest_ambient_n_runs(self, tmp_path, capsys, argv):
+        code = cli_main(argv.split() + ["--n", str(N_AMBIENT_MAX), "--trials", "2",
+                                        "--out", str(tmp_path / "x.csv")])
+        assert code == 0
 
     @pytest.mark.parametrize("seed", [-2**63, 2**63 - 1])
     @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fsjunta import oracles
 from fsjunta import (
     AcceptInstance,
     ExOracle,
@@ -23,13 +24,16 @@ from fsjunta import (
     realize_reject,
     sample_accept_instance,
     sample_reject_instance,
+    vars_from_mask,
     wht,
 )
+from fsjunta.boolfn import union_mask
 from fsjunta.oracles import (
     EX_N_MAX,
     accept_transcript,
     format_transcript,
     lift_masks,
+    lift_tables,
     mask_dtype,
     masks_from_transcript,
     reject_transcript,
@@ -376,7 +380,7 @@ class TestMaskLift:
         else:
             inner = np.concatenate([[0, (1 << k) - 1],
                                     rng.integers(0, 1 << k, size=4000)])
-        lifted = lift_masks(inner, relevant, n)
+        lifted = lift_masks(inner, lift_tables(relevant, n))
         assert lifted.dtype == mask_dtype(n) and lifted.shape == inner.shape
         assert lifted.tolist() == [naive_lift_mask(int(m), relevant) for m in inner]
         if lifted.dtype == object:
@@ -494,3 +498,80 @@ class TestSortedKeySampling:
         assert batch.tolist() == draws == want
         assert (batch_rng.bit_generator.state == draw_rng.bit_generator.state
                 == want_rng.bit_generator.state)
+
+
+def wide_junta(n: int) -> JuntaSpec:
+    rng = make_rng(n, "exposed-junta")
+    return JuntaSpec(n, spread_positions(n, 12, rng), random_table(12, rng))
+
+
+EXPOSED_BUILDERS = {
+    "from_table": lambda rng: FsOracle.from_table(
+        random_table(10, make_rng(0, "exposed-table")), rng),
+    "from_spectrum": lambda rng: FsOracle.from_spectrum(
+        wht(random_table(8, make_rng(0, "exposed-spectrum"))), rng),
+    "from_junta-20": lambda rng: FsOracle.from_junta(wide_junta(20), rng),
+    "from_junta-62": lambda rng: FsOracle.from_junta(wide_junta(62), rng),
+    "from_junta-63": lambda rng: FsOracle.from_junta(wide_junta(63), rng),
+    "from_junta-1024": lambda rng: FsOracle.from_junta(wide_junta(1024), rng),
+    "for_parity": lambda rng: FsOracle.for_parity(1024, 1 | 1 << 63 | 1 << 1023, rng),
+    "for_constant": lambda rng: FsOracle.for_parity(20, 0, rng),
+    "for_reject": lambda rng: FsOracle.for_reject(
+        sample_reject_instance(3, 1024, make_rng(0, "exposed-reject")), rng),
+    "for_accept": lambda rng: FsOracle.for_accept(
+        sample_accept_instance(4, 1024, make_rng(0, "exposed-accept")), rng),
+}
+
+
+class TestDrawExposed:
+    """``draw_exposed(m)`` against the union of ``draw_batch(m)`` from twin
+    seeds: the same variables, calls and final generator state."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 1300])
+    @pytest.mark.parametrize("name", EXPOSED_BUILDERS)
+    def test_is_the_union_of_a_batch(self, name, m):
+        got_rng, want_rng = make_rng(1, "exposed"), make_rng(1, "exposed")
+        got_fs = EXPOSED_BUILDERS[name](got_rng)
+        want_fs = EXPOSED_BUILDERS[name](want_rng)
+        for _ in range(2):  # the second call starts mid-stream
+            got = got_fs.draw_exposed(m)
+            want = vars_from_mask(union_mask(want_fs.draw_batch(m)))
+            assert got == want
+            assert all(type(v) is int for v in got)
+        assert got_fs.calls == want_fs.calls == 2 * m
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("name", EXPOSED_BUILDERS)
+    def test_zero_draws_expose_nothing_and_negative_ones_raise(self, name):
+        rng = make_rng(2, "exposed")
+        fs = EXPOSED_BUILDERS[name](rng)
+        state = rng.bit_generator.state
+        assert fs.draw_exposed(0) == ()
+        with pytest.raises(ValueError):
+            fs.draw_exposed(-1)
+        assert fs.calls == 0
+        assert rng.bit_generator.state == state
+
+    def test_wide_junta_lifts_only_what_draw_batch_returns(self, monkeypatch):
+        lifted_sizes, built = [], []
+        lift, tables = oracles.lift_masks, oracles.lift_tables
+
+        def lift_spy(inner, *args):
+            lifted_sizes.append(len(inner))
+            return lift(inner, *args)
+
+        def tables_spy(*args):
+            built.append(args)
+            return tables(*args)
+
+        monkeypatch.setattr(oracles, "lift_masks", lift_spy)
+        monkeypatch.setattr(oracles, "lift_tables", tables_spy)
+        fs = FsOracle.from_junta(wide_junta(1024), make_rng(4, "exposed"))
+        assert lifted_sizes == [] and built == []
+        assert len(fs.draw_exposed(1300)) <= 12
+        assert lifted_sizes == [] and built == []
+        assert fs.draw_batch(1300).dtype == object
+        assert type(fs.draw()) is int
+        assert fs.draw_batch(7).dtype == object
+        assert lifted_sizes == [1300, 1, 7]
+        assert len(built) == 1  # the lookup tables are built once per oracle
