@@ -1,10 +1,14 @@
-"""Hot integer kernels in plain numpy: the spectral butterfly, the
-fiber sums that are the adjoint of :func:`fsjunta.boolfn.lift`, the
-subset majority-vote scan built on them, and the decimal digit encoder
-behind the CSV writer.
+"""Hot kernels in plain numpy: the Walsh-Hadamard transform, the fiber
+sums that are the adjoint of :func:`fsjunta.boolfn.lift`, the subset
+majority-vote scan built on them, and the decimal digit encoder behind
+the CSV writer.
 
-Every kernel works in 64-bit integers (int64; the digit encoder in
-uint64), so everything downstream is exact.
+Every result is exact. The transform applies H_{2^n} as a Kronecker
+product of Sylvester blocks of at most 64 x 64, one float64 BLAS product
+per block; it refuses any input for which ``max|a| * 2^n`` reaches 2^53,
+so every partial sum is an integer that float64 holds exactly, whatever
+order BLAS adds in. The other kernels work in 64-bit integers (int64; the
+digit encoder in uint64).
 ``e2ebench/run.py`` times them end to end, inside the experiments that
 use them.
 """
@@ -13,21 +17,83 @@ from __future__ import annotations
 import numpy as np
 
 
-def wht_inplace(a: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard butterfly on a length-2^n int64 array.
+#: Largest Hadamard block, as a power of two. A pass costs 2^b multiply-adds
+#: per entry, so blocks are kept small; 2^4 to 2^7 time alike at n = 12..22
+#: on a 2-vCPU VM, and 2^8 is slower at n = 16 and 22.
+_BLOCK_BITS = 6
+# Exact float64 range: every integer of magnitude below 2^53 is representable.
+_EXACT_LIMIT = 1 << 53
+_HADAMARD: dict[int, np.ndarray] = {}
 
-    After the pass, ``a[S] = sum_x (-1)^{popcount(S & x)} a_in[x]``.
-    Applying it twice multiplies the input by 2^n.
+
+def _hadamard(bits: int) -> np.ndarray:
+    """The +-1 Sylvester matrix ``H[i, j] = (-1)^popcount(i & j)`` of order
+    2^bits, as read-only float64, built on first use and cached."""
+    block = _HADAMARD.get(bits)
+    if block is None:
+        block = np.ones((1, 1))
+        for _ in range(bits):
+            block = np.block([[block, block], [block, -block]])
+        block.setflags(write=False)
+        _HADAMARD[bits] = block
+    return block
+
+
+def _hadamard_product(values: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform of a length-2^n integer array, as float64:
+    ``out[S] = sum_x (-1)^{popcount(S & x)} values[x]``, exactly.
+
+    H_{2^n} is the Kronecker product of Sylvester blocks of at most 2^6, one
+    per bit range, low bits first. The lowest block is one product on the
+    right, ``x.reshape(-1, 2^b) @ H``; every higher block is one batched
+    ``H @ x.reshape(-1, 2^b, 2^done)``, where ``done`` counts the bits below
+    it, so the highest block is a batch of one: a single product on the
+    left. Two float64 buffers take turns as the input and the output. The
+    products run through BLAS and are exact: every partial sum, in whatever
+    order BLAS adds, is an integer of magnitude at most
+    ``max|values| * 2^n``, which is checked, in Python ints, to be below
+    2^53 before the data is touched.
     """
-    size = a.shape[0]
-    h = 1
-    while h < size:
-        blocks = a.reshape(-1, 2 * h)
-        lo = blocks[:, :h].copy()
-        hi = blocks[:, h:]
-        blocks[:, :h] = lo + hi
-        blocks[:, h:] = lo - hi
-        h <<= 1
+    size = values.shape[0]
+    n = size.bit_length() - 1
+    if size != 1 << n:
+        raise ValueError("the transform needs a length that is a power of two")
+    peak = max(int(values.max()), -int(values.min()))
+    if peak << n >= _EXACT_LIMIT:
+        raise OverflowError(f"max|a| * 2^n = {peak} * 2^{n} is not below 2^53, "
+                            f"so float64 sums would not be exact")
+    parts = -(-n // _BLOCK_BITS)
+    widths = [n // parts + (i < n % parts) for i in range(parts)]
+    src = values.astype(np.float64)
+    dst = np.empty_like(src)
+    done = 0
+    for bits in widths:
+        h = _hadamard(bits)
+        if done == 0:
+            np.matmul(src.reshape(-1, 1 << bits), h, out=dst.reshape(-1, 1 << bits))
+        else:
+            np.matmul(h, src.reshape(-1, 1 << bits, 1 << done),
+                      out=dst.reshape(-1, 1 << bits, 1 << done))
+        src, dst = dst, src
+        done += bits
+    return src
+
+
+def wht(values: np.ndarray) -> np.ndarray:
+    """The transform of :func:`_hadamard_product` as a new int64 array; the
+    input, in any integer dtype, is read and not modified."""
+    return _hadamard_product(values).astype(np.int64)
+
+
+def wht_inplace(a: np.ndarray) -> np.ndarray:
+    """In-place Walsh-Hadamard transform of a length-2^n int64 array.
+
+    After the call, ``a[S] = sum_x (-1)^{popcount(S & x)} a_in[x]``, and
+    ``a`` is returned. Applying it twice multiplies the input by 2^n.
+    Raises ``OverflowError``, with ``a`` unmodified, if ``max|a| * 2^n`` is
+    not below 2^53.
+    """
+    np.copyto(a, _hadamard_product(a), casting="unsafe")
     return a
 
 

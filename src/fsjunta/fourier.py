@@ -4,7 +4,9 @@ Coefficients are stored scaled by 2^n: ``coeffs[S] = sum_x f(x) chi_S(x)``
 where ``chi_S`` is the parity of the variables in bitmask ``S``. With that
 scaling every identity in this module is an integer equality; nothing here
 needs a floating-point tolerance. For n <= 24 all magnitudes stay far
-inside int64 (coefficients below 2^25, squares below 2^50).
+inside int64 (coefficients below 2^25, squares below 2^50). The transform
+itself runs as float64 BLAS products (see :mod:`fsjunta._kernels`), which
+are exact because every partial sum is an integer below 2^53.
 """
 from __future__ import annotations
 
@@ -65,16 +67,23 @@ def _exact_sum_squares(arr: np.ndarray) -> int:
 
 
 def wht(f: TruthTable) -> Spectrum:
-    """Exact integer spectrum via the in-place butterfly, O(n 2^n) adds."""
-    work = f.values.astype(np.int64)
-    _kernels.wht_inplace(work)
-    return Spectrum(f.n, work)
+    """Exact integer spectrum of a table, O(n 2^n) arithmetic.
+
+    The int8 table goes straight into :func:`fsjunta._kernels.wht`: H_{2^n}
+    applied as a Kronecker product of Sylvester blocks of at most 64 x 64,
+    one float64 BLAS product per block. Every partial sum is an integer of
+    magnitude at most 2^n <= 2^24, far below 2^53, so float64 is exact.
+    """
+    return Spectrum(f.n, _kernels.wht(f.values))
 
 
 def inverse_wht(sp: Spectrum) -> TruthTable:
-    """Reconstruct the table; the butterfly is its own inverse up to 2^n."""
-    work = sp.coeffs.astype(np.int64)
-    _kernels.wht_inplace(work)
+    """Reconstruct the table: the transform is its own inverse up to 2^n.
+
+    Same blocked products as :func:`wht`; coefficients are at most 2^n, so
+    every partial sum is at most 4^n <= 2^48 and float64 stays exact.
+    """
+    work = _kernels.wht(sp.coeffs)
     size = 1 << sp.n
     if np.any(work % size):
         raise ValueError("spectrum is not the transform of a table")
@@ -100,7 +109,8 @@ def projection_values(f: TruthTable, subset: int) -> np.ndarray:
 
     Entry x equals ``sum_{S subset of T} coeffs[S] chi_S(x)``, an exact
     integer array (the scaled conditional mean of f given the variables
-    in ``subset``).
+    in ``subset``). The second transform runs in place on the masked
+    coefficients, with partial sums at most 4^n <= 2^48.
     """
     if not 0 <= subset < (1 << f.n):
         raise ValueError("subset mask out of range")

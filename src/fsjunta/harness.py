@@ -34,13 +34,14 @@ from .boolfn import (N_MAX, JuntaSpec, TruthTable, make_parity, mask_from_vars,
                      sample_accept_instance, sample_reject_instance)
 from ._kernels import decimal_cells
 from .fourier import wht
-from .learning import hypothesis_error, learn_junta
+from .learning import hypothesis_error, learn_junta, stage_one_draws
 from .oracles import (EX_N_MAX, ExOracle, FsOracle, derive_seed, fresh_accept_source,
                       fresh_reject_source, make_rng)
 from .stats import chernoff_halfwidth, chi_square_gof
 from .testing import (ACCEPT, REJECT, SCENARIO_I, SCENARIO_II, collision_features,
-                      collision_guess, histogram_tv, junta_test, sample_scenario,
-                      scenario_distinguisher, scenario_oracle)
+                      collision_guess, histogram_tv, junta_test, junta_test_draws,
+                      sample_scenario, scenario_distinguisher, scenario_draws,
+                      scenario_oracle)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,6 +53,14 @@ EXIT_BUDGET = 3
 #: 2^26 and 9.7 s and 268 MB at 2^28, and ``1 << n`` alone exhausts memory
 #: long before n leaves int64.
 N_AMBIENT_MAX = 1 << 20
+
+#: Largest number of draws one trial (one arm of a trial) may ask for.
+#: Every kind draws its budget as one batch, so memory grows linearly with
+#: it. At 2^24 draws one trial peaks at 0.55 GB (test-junta, learn-junta
+#: stage 1, fs-dist, scenario) or 0.95 GB (lb-tv, lb-collision) and takes
+#: 1-8 s; 2^24 is the largest power of two at which every kind stays under
+#: 1 GB.
+DRAWS_MAX = 1 << 24
 
 COLUMNS = {
     "test-junta": ["trial", "seed", "decision", "correct", "num_exposed",
@@ -240,7 +249,26 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"{cfg.kind} needs num_draws >= 1")
     if cfg.n is not None and cfg.n > N_AMBIENT_MAX:
         raise ConfigError(f"n must be at most {N_AMBIENT_MAX}")
+    draws = _draws_per_trial(cfg)
+    if draws > DRAWS_MAX:
+        raise ConfigError(f"a trial would draw {draws} subsets; "
+                          f"at most {DRAWS_MAX} are allowed")
     return cfg
+
+
+def _draws_per_trial(cfg: ExperimentConfig) -> int | float:
+    """The draws one trial of a valid config asks for, computed by the
+    helper the library draws with; infinite if a float budget overflows."""
+    try:
+        if cfg.kind == "test-junta":
+            return junta_test_draws(cfg.k, cfg.eps)
+        if cfg.kind == "learn-junta":
+            return stage_one_draws(cfg.k, cfg.eps)
+        if cfg.kind == "scenario":
+            return scenario_draws(cfg.k, cfg.c)
+    except OverflowError:
+        return math.inf
+    return cfg.num_draws
 
 
 @dataclass

@@ -32,6 +32,11 @@ class TesterVerdict:
     exposed: frozenset[int]
 
 
+def junta_test_draws(k: int, eps: float) -> int:
+    """ceil(10(k+1)/eps), exact for the decimal ``eps``: the tester's draws."""
+    return math.ceil(10 * (k + 1) / Fraction(str(eps)))
+
+
 def junta_test(fs: FsOracle, k: int, eps: float) -> TesterVerdict:
     """Non-adaptive junta tester: ceil(10(k+1)/eps) draws, accept iff the
     union of returned subsets has at most k variables. The draw count is
@@ -44,7 +49,7 @@ def junta_test(fs: FsOracle, k: int, eps: float) -> TesterVerdict:
         raise ValueError("k must be non-negative")
     if not 0 < eps <= 1:
         raise ValueError("eps must be in (0, 1]")
-    m = math.ceil(10 * (k + 1) / Fraction(str(eps)))
+    m = junta_test_draws(k, eps)
     exposed = frozenset(fs.draw_exposed(m))
     decision = ACCEPT if len(exposed) <= k else REJECT
     return TesterVerdict(decision, m, exposed)
@@ -89,6 +94,11 @@ def scenario_oracle(fn: ScenarioFunction, rng: np.random.Generator,
                                counter=counter)
 
 
+def scenario_draws(k: int, c: float) -> int:
+    """ceil(c log2(k+2)): the scenario distinguisher's draws."""
+    return math.ceil(c * math.log2(k + 2))
+
+
 def scenario_distinguisher(fs: FsOracle, k: int, c: float = 8.0) -> str:
     """Guess the scenario from ceil(c log2(k+2)) draws.
 
@@ -100,7 +110,7 @@ def scenario_distinguisher(fs: FsOracle, k: int, c: float = 8.0) -> str:
     """
     if c < 1:
         raise ValueError("need c >= 1")
-    m = math.ceil(c * math.log2(k + 2))
+    m = scenario_draws(k, c)
     return SCENARIO_I if len(fs.draw_exposed(m)) >= k + 1 else SCENARIO_II
 
 

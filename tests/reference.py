@@ -197,3 +197,19 @@ def unique_collision_features(slots, x_masks):
     distinct = np.unique(slots).size
     pairs = np.unique(slots * 2 + parity).size
     return int(slots.size - distinct), bool(pairs > distinct)
+
+
+def butterfly_wht(a: np.ndarray) -> np.ndarray:
+    """The radix-2 Walsh-Hadamard butterfly on a length-2^n int64 array, in
+    place, in integer arithmetic: one add and one subtract per pair, level
+    by level."""
+    size = a.shape[0]
+    h = 1
+    while h < size:
+        blocks = a.reshape(-1, 2 * h)
+        lo = blocks[:, :h].copy()
+        hi = blocks[:, h:]
+        blocks[:, :h] = lo + hi
+        blocks[:, h:] = lo - hi
+        h <<= 1
+    return a

@@ -17,8 +17,11 @@ import fsjunta
 from fsjunta import chernoff_halfwidth, chernoff_trials, chi_square_gof
 from fsjunta.cli import _assemble, build_parser
 from fsjunta.cli import main as cli_main
+from fsjunta.learning import stage_one_draws
+from fsjunta.testing import junta_test_draws, scenario_draws
 from fsjunta.harness import (
     COLUMNS,
+    DRAWS_MAX,
     N_AMBIENT_MAX,
     ConfigError,
     ExperimentConfig,
@@ -155,6 +158,37 @@ class TestConfigHandling:
         with pytest.raises(ConfigError):
             validate_config(ExperimentConfig("lb-collision", r=3, n=5,
                                              num_draws=10))
+
+    def test_the_draw_cap_admits_exactly_its_budget(self):
+        half = DRAWS_MAX // 10
+        cases = [  # (budget, config): the budget from the helper each kind draws with
+            (DRAWS_MAX, ExperimentConfig("fs-dist", target="random", n=4,
+                                         num_draws=DRAWS_MAX)),
+            (DRAWS_MAX + 1, ExperimentConfig("lb-tv", r=2, n=8,
+                                             num_draws=DRAWS_MAX + 1)),
+            (junta_test_draws(3, 40 / DRAWS_MAX),
+             ExperimentConfig("test-junta", k=3, n=8, eps=40 / DRAWS_MAX)),
+            (junta_test_draws(half - 1, 1.0),
+             ExperimentConfig("test-junta", target="reject", r=2, n=8, k=half - 1,
+                              eps=1.0)),
+            (junta_test_draws(half, 1.0),
+             ExperimentConfig("test-junta", target="reject", r=2, n=8, k=half,
+                              eps=1.0)),
+            (stage_one_draws(3, 1e-5), ExperimentConfig("learn-junta", k=3, n=8,
+                                                        eps=1e-5)),
+            (stage_one_draws(3, 5e-6), ExperimentConfig("learn-junta", k=3, n=8,
+                                                        eps=5e-6)),
+            (scenario_draws(3, 7e6), ExperimentConfig("scenario", k=3, c=7e6)),
+            (scenario_draws(3, 8e6), ExperimentConfig("scenario", k=3, c=8e6)),
+        ]
+        assert cases[2][0] == DRAWS_MAX
+        for budget, cfg in cases:
+            if budget <= DRAWS_MAX:
+                validate_config(cfg)
+            else:
+                with pytest.raises(ConfigError, match="would draw"):
+                    validate_config(cfg)
+        assert sorted(b > DRAWS_MAX for b, _ in cases) == [False] * 5 + [True] * 4
 
 
 class TestRunExperiment:
@@ -504,6 +538,16 @@ class TestCli:
         # an r whose family cannot fit once reached 1 << r and exited 1
         "lb-tv --r 100000000000000000000 --n 1000 --num-draws 3",
         "fs-dist --target accept --r 22",
+        # a per-trial draw budget past DRAWS_MAX once reached the samplers
+        # and exited 1 (ValueError, ArrayMemoryError, OverflowError)
+        "test-junta --target reject --r 2 --n 8 --k 100000000000000000000",
+        "test-junta --k 3 --n 8 --eps 1e-12",
+        "learn-junta --k 3 --n 8 --eps 1e-13",
+        "learn-junta --k 3 --n 8 --eps 5e-324",
+        "fs-dist --n 4 --num-draws 100000000000000000000",
+        "lb-tv --r 2 --n 8 --num-draws 100000000000000000000",
+        f"lb-collision --r 2 --n 8 --num-draws {DRAWS_MAX + 1}",
+        "scenario --k 3 --c 1e300",
     ])
     def test_out_of_range_parameters_exit_two(self, tmp_path, capsys, argv):
         code = cli_main(argv.split() + ["--trials", "2",

@@ -1,8 +1,22 @@
 import numpy as np
+import pytest
 
-from fsjunta import TruthTable, _kernels
+from fsjunta import TruthTable, _kernels, inverse_wht, random_table, wht
+from fsjunta.oracles import make_rng
 
-from reference import naive_best_junta_errors, naive_cell_sums
+from reference import butterfly_wht, naive_best_junta_errors, naive_cell_sums
+
+
+def _python_int_wht(values) -> list[int]:
+    """sum_x a[x] (-1)^|S & x| for every S, in Python ints."""
+    a = [int(v) for v in values]
+    return [sum(v if (s & x).bit_count() % 2 == 0 else -v for x, v in enumerate(a))
+            for s in range(len(a))]
+
+
+def _largest_exact(n: int) -> int:
+    """The largest max|a| for which max|a| * 2^n stays below 2^53."""
+    return (1 << (53 - n)) - 1
 
 
 def test_numpy_butterfly_is_an_involution_up_to_scale():
@@ -10,6 +24,58 @@ def test_numpy_butterfly_is_an_involution_up_to_scale():
     a = rng.integers(-5, 6, size=256).astype(np.int64)
     twice = _kernels.wht_inplace(_kernels.wht_inplace(a.copy()))
     assert np.array_equal(twice, a * 256)
+
+
+def test_wht_matches_python_ints_up_to_the_exact_bound():
+    rng = np.random.default_rng(11)
+    for n in range(9):
+        top = _largest_exact(n)
+        # constant inputs push the empty-set sum to +-top * 2^n = +-(2^53 - 2^n)
+        cases = [np.full(1 << n, top), np.full(1 << n, -top)]
+        for _ in range(3):
+            a = rng.integers(-top, top, size=1 << n, dtype=np.int64, endpoint=True)
+            a[rng.integers(0, 1 << n)] = top * (1 if rng.integers(0, 2) else -1)
+            cases.append(a)
+        for a in cases:
+            expected = _python_int_wht(a)
+            assert _kernels.wht(a).tolist() == expected
+            assert _kernels.wht_inplace(a.copy()).tolist() == expected
+
+
+def test_wht_refuses_inputs_at_the_exact_bound_without_touching_them():
+    for n in range(9):
+        for bad in (_largest_exact(n) + 1, -_largest_exact(n) - 1, -2**63, 2**63 - 1):
+            a = np.arange(1 << n, dtype=np.int64)
+            a[-1] = bad
+            before = a.copy()
+            with pytest.raises(OverflowError):
+                _kernels.wht_inplace(a)
+            with pytest.raises(OverflowError):
+                _kernels.wht(a)
+            assert np.array_equal(a, before)
+
+
+def test_wht_inplace_returns_and_overwrites_its_argument():
+    a = np.array([1, -1, -1, 1, 1, 1, -1, 1], dtype=np.int64)
+    expected = _python_int_wht(a)
+    out = _kernels.wht_inplace(a)
+    assert out is a
+    assert a.tolist() == expected
+
+
+def test_wht_matches_the_integer_butterfly_on_tables_and_round_trips():
+    for n in range(1, 21):
+        table = random_table(n, make_rng(0, "kernel-wht", n))
+        expected = butterfly_wht(table.values.astype(np.int64))
+        assert np.array_equal(_kernels.wht(table.values), expected)
+        assert np.array_equal(_kernels.wht_inplace(table.values.astype(np.int64)),
+                              expected)
+        sp = wht(table)
+        assert np.array_equal(sp.coeffs, expected)
+        assert np.array_equal(inverse_wht(sp).values, table.values)
+        doubled = butterfly_wht(expected.copy())
+        assert np.array_equal(_kernels.wht(sp.coeffs), doubled)
+        assert np.array_equal(doubled, table.values.astype(np.int64) << n)
 
 
 def test_cell_sums_match_the_gather_reference():
