@@ -129,35 +129,36 @@ def junta_errors(values: np.ndarray, positions: np.ndarray) -> int:
     return int(np.minimum(neg, fiber - neg).sum())
 
 
-def decimal_cells(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def decimal_cells(values: np.ndarray) -> np.ndarray:
     """ASCII decimal digits of non-negative integers, one column per value.
 
     Returns a ``(width, N)`` uint8 matrix, with ``width`` the digit count of
-    the largest value and each value right-aligned in its column, and the
-    mask of the digits that are not leading zeros: row ``width - 1 - p``
-    holds the ``10**p`` digit and is kept iff the value is ``>= 10**p``
-    (the units row always). Values are read as uint64, so any int64 or
-    uint64 column of non-negative values is exact.
+    the largest value and each value right-aligned in its column: row
+    ``width - 1 - p`` holds the ``10**p`` digit, or a NUL byte where the
+    value is below ``10**p`` (a leading zero; the units row always holds a
+    digit). Values are read as uint64, so any int64 or uint64 column of
+    non-negative values is exact.
     """
     rest = values.astype(np.uint64)
     width = len(str(int(rest.max()))) if rest.size else 1
     digits = np.empty((width, rest.size), dtype=np.uint8)
-    keep = np.empty((width, rest.size), dtype=bool)
     low = np.empty(rest.size, dtype=np.uint8)
+    shown = np.ones(rest.size, dtype=np.uint8)
     for row in range(width - 1, -1, -1):
-        # Row width-1-p: rest is values // 10**p, nonzero iff values >= 10**p.
-        np.not_equal(rest, 0, out=keep[row])
-        # One division per digit. The digit is rest - 10 * (rest // 10), and
-        # uint8 arithmetic wraps modulo 256, so the low bytes of rest and of
-        # rest // 10 give it exactly.
+        # Row width-1-p: rest is values // 10**p. One division per digit.
+        # The digit is rest - 10 * (rest // 10), and uint8 arithmetic wraps
+        # modulo 256, so the low bytes of rest and of rest // 10 give it
+        # exactly.
         np.copyto(digits[row], rest, casting="unsafe")
         np.floor_divide(rest, 10, out=rest)
         np.copyto(low, rest, casting="unsafe")
         low *= 10
         digits[row] -= low
-    digits += ord("0")
-    keep[width - 1] = True
-    return digits, keep
+        digits[row] += ord("0")
+        digits[row] *= shown
+        # The row above shows iff values // 10**(p+1), now rest, is nonzero.
+        np.not_equal(rest, 0, out=shown)
+    return digits
 
 
 def backend() -> str:

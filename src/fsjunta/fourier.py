@@ -39,9 +39,9 @@ class Spectrum:
                 f"spectrum for n={self.n} needs {1 << self.n} coefficients")
         arr = arr.astype(np.int64, copy=True)
         bound = 1 << self.n
-        if np.any(np.abs(arr) > bound):
+        if arr.max() > bound or arr.min() < -bound:
             raise ValueError("coefficient magnitude exceeds 2^n")
-        if np.any(arr & 1):
+        if np.bitwise_or.reduce(arr) & 1:
             # Each coefficient is a sum of 2^n terms of +-1, hence even.
             raise ValueError("coefficients of an n>=1 table are all even")
         arr.setflags(write=False)

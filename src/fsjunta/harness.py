@@ -502,14 +502,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return result
 
 
-def _cells(column) -> tuple[np.ndarray, np.ndarray]:
-    """One CSV column as a ``(width, N)`` uint8 matrix of cell bytes and the
-    mask of the bytes that belong to each cell.
+def _cells(column) -> np.ndarray:
+    """One CSV column as a ``(width, N)`` uint8 matrix of cell bytes, each
+    cell padded with NUL bytes.
 
     Non-negative integers that fit in 64 bits are encoded by
     :func:`decimal_cells`. Every other value (a string, a float, a bool, a
-    negative or wider int) is ``str(value)`` packed in an ``S`` array, whose
-    NUL padding is masked off. A list of ints is never read as floats."""
+    negative or wider int) is ``str(value)`` packed in an ``S`` array, which
+    pads it with NUL bytes. A list of ints is never read as floats."""
     if isinstance(column, np.ndarray):
         if column.dtype.kind in "iu" and column.min() >= 0:
             return decimal_cells(column)
@@ -520,8 +520,7 @@ def _cells(column) -> tuple[np.ndarray, np.ndarray]:
         except OverflowError:  # a negative int, or one wider than 64 bits
             pass
     text = np.array([str(value).encode() for value in column], dtype=bytes)
-    cells = text.view(np.uint8).reshape(len(column), -1).T
-    return cells, cells != 0
+    return text.view(np.uint8).reshape(len(column), -1).T
 
 
 def _write_outputs(cfg: ExperimentConfig, rows: list[dict] | np.ndarray,
@@ -529,24 +528,23 @@ def _write_outputs(cfg: ExperimentConfig, rows: list[dict] | np.ndarray,
     """Write the rows as CSV and the summary sidecar.
 
     Fields go in ``COLUMNS`` order with CRLF line ends and no quoting (no
-    field holds a comma or a quote); each value is written as ``str`` gives
-    it, so floats by their ``repr`` and NaN as ``nan``. The body is built in
-    numpy: every column is a byte matrix from :func:`_cells`, stacked with
-    constant separator rows, and one boolean compress of the stack, row by
-    row, gives the bytes of the file."""
+    field holds a comma, a quote or a NUL byte); each value is written as
+    ``str`` gives it, so floats by their ``repr`` and NaN as ``nan``. The
+    body is built in numpy: every column is a NUL-padded byte matrix from
+    :func:`_cells`, stacked with constant separator rows; the stack's bytes,
+    row by row, with every NUL deleted, are the bytes of the file."""
     out_path = Path(cfg.out)
     if out_path.parent != Path(""):
         out_path.parent.mkdir(parents=True, exist_ok=True)
     names = COLUMNS[cfg.kind]
     body = b""
     if len(rows):
-        blocks, keeps = [], []
+        blocks = []
         for name, sep in zip(names, [b","] * (len(names) - 1) + [b"\r\n"]):
             column = rows[name] if isinstance(rows, np.ndarray) else [r[name] for r in rows]
-            cells, keep = _cells(column)
-            blocks += [cells, np.frombuffer(sep, np.uint8)[:, None].repeat(len(rows), 1)]
-            keeps += [keep, np.ones((len(sep), len(rows)), dtype=bool)]
-        body = np.concatenate(blocks).T[np.concatenate(keeps).T].tobytes()
+            blocks += [_cells(column),
+                       np.frombuffer(sep, np.uint8)[:, None].repeat(len(rows), 1)]
+        body = np.concatenate(blocks).T.tobytes().translate(None, b"\0")
     with out_path.open("wb") as fh:
         fh.write(",".join(names).encode() + b"\r\n")
         fh.write(body)

@@ -28,6 +28,12 @@ indices; the other samplers' coordinates are the ambient ones.
 call the tester, learner stage 1 and scenario distinguisher make, ORs the
 draws where they are and maps only the set bits of the union, so a junta's
 draws never build a wide mask at all.
+
+A union ignores order and stops growing once it covers the sampler's
+support. So the weight samplers (``from_spectrum``, ``from_table``,
+``from_junta``) draw all m keys for ``draw_exposed`` but search only until
+the union saturates: a prefix of 64 keys in draw order, then the rest,
+sorted, only if that prefix has not reached the support.
 """
 from __future__ import annotations
 
@@ -57,6 +63,9 @@ _MASK64_BITS = 62
 
 #: Largest ambient n for uniform examples: x is one int64 draw below 2^n.
 EX_N_MAX = 62
+
+# Draws a weight sampler's union searches before it checks for saturation.
+_UNION_PREFIX = 64
 
 
 def mask_dtype(n: int) -> np.dtype:
@@ -201,9 +210,10 @@ def reject_transcript(inst: RejectInstance, rng: np.random.Generator,
     r + j); the address mask is a subset of the r address variables. Every
     (leaf, address mask) pair is equally likely.
     """
-    big_r = 1 << inst.r
-    leaf = rng.integers(0, big_r, size=m)
-    x = rng.integers(0, big_r, size=m, dtype=np.int64)
+    # One call draws the leaves, then the masks: the same stream as two calls
+    # of m, since the bit generator keeps a spare 32-bit half between calls.
+    draws = rng.integers(0, 1 << inst.r, size=2 * m, dtype=np.int64)
+    leaf, x = draws[:m], draws[m:]
     return inst.tau[leaf], x
 
 
@@ -216,9 +226,8 @@ def accept_transcript(inst: AcceptInstance, rng: np.random.Generator,
     only ever appears with one parity.
     """
     r = inst.r
-    half = 1 << (r - 1)
-    leaf = rng.integers(0, half, size=m)
-    base = rng.integers(0, half, size=m, dtype=np.int64)
+    draws = rng.integers(0, 1 << (r - 1), size=2 * m, dtype=np.int64)
+    leaf, base = draws[:m], draws[m:]
     want_odd = (inst.s[leaf] < 0).astype(np.int64)
     base_parity = (np.bitwise_count(base.astype(np.uint64)).astype(np.int64)) & 1
     top = base_parity ^ want_odd
@@ -294,13 +303,17 @@ class FsOracle:
 
     def __init__(self, n: int, counter: QueryCounter | None,
                  sample_batch: Callable[[int], np.ndarray],
-                 relevant: tuple[int, ...] | None = None):
+                 relevant: tuple[int, ...] | None = None,
+                 sample_union: Callable[[int], int] | None = None):
         """``sample_batch(m)`` draws m masks in the sampler's own
         coordinates: bit t is variable ``relevant[t]``, or variable t when
-        ``relevant`` is None."""
+        ``relevant`` is None. ``sample_union(m)`` is the OR of the masks
+        that ``sample_batch(m)`` would draw, from the same stream; by
+        default it ORs that batch."""
         self.n = n
         self.counter = counter if counter is not None else QueryCounter()
         self._sample_batch = sample_batch
+        self._sample_union = sample_union or (lambda m: union_mask(sample_batch(m)))
         self._relevant = relevant
         self._lift_tables = None  # built by the first draw that is lifted
 
@@ -382,7 +395,25 @@ class FsOracle:
             idx[order] = np.searchsorted(cum, u[order], side="right")
             return masks[idx]
 
-        return cls(n, counter, sample_batch, relevant)
+        support = None  # OR of every mask, formed by the first union draw
+
+        def sample_union(m: int) -> int:
+            # Every key is drawn, but only a prefix is searched, in draw
+            # order; the rest is searched, sorted (a union ignores order),
+            # only if the prefix has not reached the support. On a junta the
+            # union usually saturates within a few dozen draws.
+            nonlocal support
+            if support is None:
+                support = union_mask(masks)
+            u = rng.integers(0, total, size=m, dtype=np.int64)
+            head = u[:_UNION_PREFIX]
+            union = union_mask(masks[np.searchsorted(cum, head, side="right")])
+            if union != support and m > _UNION_PREFIX:
+                rest = np.sort(u[_UNION_PREFIX:])
+                union |= union_mask(masks[np.searchsorted(cum, rest, side="right")])
+            return union
+
+        return cls(n, counter, sample_batch, relevant, sample_union)
 
     # -- drawing -----------------------------------------------------------
 
@@ -415,7 +446,7 @@ class FsOracle:
         if m < 0:
             raise ValueError("batch size must be non-negative")
         self.counter.fs_calls += m
-        exposed = vars_from_mask(union_mask(self._sample_batch(m)))
+        exposed = vars_from_mask(self._sample_union(m))
         if self._relevant is None:
             return exposed
         return tuple(self._relevant[t] for t in exposed)

@@ -178,6 +178,25 @@ def naive_spectral_batch(masks, weights, total, rng, m) -> np.ndarray:
     return masks[np.array(idx, dtype=np.intp)]
 
 
+def two_call_reject_transcript(inst, rng, m):
+    """Reject transcript with the leaves and the address masks drawn by two
+    separate calls of m."""
+    leaf = rng.integers(0, 1 << inst.r, size=m)
+    x = rng.integers(0, 1 << inst.r, size=m, dtype=np.int64)
+    return inst.tau[leaf], x
+
+
+def two_call_accept_transcript(inst, rng, m):
+    """Accept transcript with the leaves and the base masks drawn by two
+    separate calls of m, the top address bit fixing each mask's parity."""
+    half = 1 << (inst.r - 1)
+    leaf = rng.integers(0, half, size=m)
+    base = rng.integers(0, half, size=m, dtype=np.int64)
+    want_odd = (inst.s[leaf] < 0).astype(np.int64)
+    parity = np.array([bin(int(b)).count("1") & 1 for b in base], dtype=np.int64)
+    return inst.tau[leaf], base | ((parity ^ want_odd) << (inst.r - 1))
+
+
 def naive_csv(columns, rows) -> bytes:
     """The bytes ``csv.DictWriter`` writes for ``rows`` under ``columns``;
     a row that is not a dict (a record) is read field by field."""

@@ -116,6 +116,16 @@ class TestSpectrumType:
         with pytest.raises(ValueError):
             Spectrum(1, np.array([4, 0], dtype=np.int64))
 
+    @pytest.mark.parametrize("coeffs", [[0, -4], [0, -3], [2, -2**63], [2**62, 0]])
+    def test_rejects_negative_odd_and_extreme_coefficients(self, coeffs):
+        # -2^63 has no int64 magnitude, so only a max/min test catches it.
+        with pytest.raises(ValueError):
+            Spectrum(1, np.array(coeffs, dtype=np.int64))
+
+    def test_accepts_magnitude_exactly_two_to_the_n(self):
+        sp = Spectrum(2, np.array([4, -4, 0, -2], dtype=np.int64))
+        assert sp.coeffs.tolist() == [4, -4, 0, -2]
+
     def test_parseval_false_when_one_coefficient_zeroed(self):
         coeffs = wht(AND2).coeffs.copy()
         coeffs[3] = 0

@@ -104,8 +104,9 @@ def test_backend_name_is_consistent():
     assert _kernels.backend() == "numpy"
 
 
-def _decoded(cells, keep):
-    return [bytes(cells[keep[:, j], j]).decode() for j in range(cells.shape[1])]
+def _decoded(cells):
+    return [bytes(cells[:, j]).replace(b"\0", b"").decode()
+            for j in range(cells.shape[1])]
 
 
 def test_decimal_cells_spell_str_of_each_value():
@@ -115,9 +116,12 @@ def test_decimal_cells_spell_str_of_each_value():
                                              dtype=np.uint64, endpoint=True)
     for values in (np.array(edges, dtype=np.uint64), draw,
                    np.array([0, 0, 0]), np.array([7]), np.arange(12, dtype=np.int64)):
-        cells, keep = _kernels.decimal_cells(values)
-        assert cells.dtype == np.uint8 and cells.shape == keep.shape
+        cells = _kernels.decimal_cells(values)
+        assert cells.dtype == np.uint8
         assert cells.shape[1] == values.size
-        assert _decoded(cells, keep) == [str(int(v)) for v in values]
-    cells, keep = _kernels.decimal_cells(np.array([], dtype=np.int64))
-    assert cells.shape == keep.shape == (1, 0)
+        assert _decoded(cells) == [str(int(v)) for v in values]
+        # NUL bytes stand only in place of leading zeros.
+        width = cells.shape[0]
+        assert [bytes(cells[:, j]) for j in range(values.size)] == [
+            str(int(v)).encode().rjust(width, b"\0") for v in values]
+    assert _kernels.decimal_cells(np.array([], dtype=np.int64)).shape == (1, 0)

@@ -38,7 +38,12 @@ from fsjunta.oracles import (
     masks_from_transcript,
     reject_transcript,
 )
-from reference import naive_lift_mask, naive_spectral_batch
+from reference import (
+    naive_lift_mask,
+    naive_spectral_batch,
+    two_call_accept_transcript,
+    two_call_reject_transcript,
+)
 
 AND2 = TruthTable(2, np.array([1, 1, 1, -1], dtype=np.int8))
 
@@ -415,6 +420,29 @@ class TestTranscriptPlumbing:
         b = reject_transcript(inst, make_rng(5, "rep"), 1000)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
+    @pytest.mark.parametrize("r", range(1, 13))
+    @pytest.mark.parametrize("kind", ["reject", "accept"])
+    def test_one_draw_is_the_two_call_stream(self, kind, r):
+        """One call of 2m draws the leaves and masks that two calls of m
+        draw, and leaves the generator where they leave it, also when odd
+        sizes leave a spare 32-bit half in the bit generator."""
+        sample, transcript, reference = {
+            "reject": (sample_reject_instance, reject_transcript,
+                       two_call_reject_transcript),
+            "accept": (sample_accept_instance, accept_transcript,
+                       two_call_accept_transcript)}[kind]
+        inst = sample(r, r + (1 << r), make_rng(r, "one-draw"))
+        for seed in range(10):
+            got_rng, want_rng = make_rng(seed, "one-draw"), make_rng(seed, "one-draw")
+            for m in range(7):
+                got = transcript(inst, got_rng, m)
+                want = reference(inst, want_rng, m)
+                assert got[0].tolist() == want[0].tolist()
+                assert got[1].tolist() == want[1].tolist()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            assert (got_rng.integers(0, 1 << r, size=3).tolist()
+                    == want_rng.integers(0, 1 << r, size=3).tolist())
+
 
 BATCH_SIZES = [0, 1, 2, 1300, 1 << 16]
 
@@ -505,9 +533,21 @@ def wide_junta(n: int) -> JuntaSpec:
     return JuntaSpec(n, spread_positions(n, 12, rng), random_table(12, rng))
 
 
+def flipped_junta() -> TruthTable:
+    """A 6-junta at n = 9 with three entries flipped, so variables 6-8 are
+    relevant but rarely drawn: a union of 64 draws seldom holds them all."""
+    spec = JuntaSpec(9, tuple(range(6)), random_table(6, make_rng(0, "exposed-flip")))
+    values = make_junta(spec).values.copy()
+    values[[5, 200, 400]] *= -1
+    return TruthTable(9, values)
+
+
+PREFIX = oracles._UNION_PREFIX
+
 EXPOSED_BUILDERS = {
     "from_table": lambda rng: FsOracle.from_table(
         random_table(10, make_rng(0, "exposed-table")), rng),
+    "from_table-flipped": lambda rng: FsOracle.from_table(flipped_junta(), rng),
     "from_spectrum": lambda rng: FsOracle.from_spectrum(
         wht(random_table(8, make_rng(0, "exposed-spectrum"))), rng),
     "from_junta-20": lambda rng: FsOracle.from_junta(wide_junta(20), rng),
@@ -527,7 +567,7 @@ class TestDrawExposed:
     """``draw_exposed(m)`` against the union of ``draw_batch(m)`` from twin
     seeds: the same variables, calls and final generator state."""
 
-    @pytest.mark.parametrize("m", [0, 1, 2, 1300])
+    @pytest.mark.parametrize("m", [0, 1, 2, PREFIX - 1, PREFIX, PREFIX + 1, 1300])
     @pytest.mark.parametrize("name", EXPOSED_BUILDERS)
     def test_is_the_union_of_a_batch(self, name, m):
         got_rng, want_rng = make_rng(1, "exposed"), make_rng(1, "exposed")
@@ -575,3 +615,39 @@ class TestDrawExposed:
         assert fs.draw_batch(7).dtype == object
         assert lifted_sizes == [1300, 1, 7]
         assert len(built) == 1  # the lookup tables are built once per oracle
+
+    @staticmethod
+    def spy_searches(monkeypatch):
+        """Record the key counts that ``np.searchsorted`` and ``np.sort``
+        are handed from now on."""
+        searched, sorted_ = [], []
+        search, sort = np.searchsorted, np.sort
+
+        def search_spy(a, v, *args, **kwargs):
+            searched.append(len(v))
+            return search(a, v, *args, **kwargs)
+
+        def sort_spy(a, *args, **kwargs):
+            sorted_.append(len(a))
+            return sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", search_spy)
+        monkeypatch.setattr(np, "sort", sort_spy)
+        return searched, sorted_
+
+    def test_saturated_prefix_ends_the_search(self, monkeypatch):
+        fs = FsOracle.from_junta(wide_junta(1024), make_rng(4, "exposed"))
+        searched, sorted_ = self.spy_searches(monkeypatch)
+        assert len(fs.draw_exposed(1300)) == 12
+        assert searched == [PREFIX] and sorted_ == []
+        assert fs.calls == 1300
+
+    def test_unsaturated_prefix_searches_the_sorted_rest(self, monkeypatch):
+        got_fs, prefix_fs = (FsOracle.from_table(flipped_junta(), make_rng(5, "exposed"))
+                             for _ in range(2))
+        searched, sorted_ = self.spy_searches(monkeypatch)
+        got = got_fs.draw_exposed(1300)
+        assert searched == [PREFIX, 1300 - PREFIX] and sorted_ == [1300 - PREFIX]
+        # The prefix alone misses variables that the rest exposes.
+        seen_early = vars_from_mask(union_mask(prefix_fs.draw_batch(PREFIX)))
+        assert set(seen_early) < set(got) == set(range(9))
