@@ -39,9 +39,11 @@ def _hadamard(bits: int) -> np.ndarray:
     return block
 
 
-def _hadamard_product(values: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform of a length-2^n integer array, as float64:
-    ``out[S] = sum_x (-1)^{popcount(S & x)} values[x]``, exactly.
+def wht(values: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform of a length-2^n integer array, as a new
+    int64 array: ``out[S] = sum_x (-1)^{popcount(S & x)} values[x]``,
+    exactly. The input, in any integer dtype, is read and not modified;
+    applying the transform twice multiplies it by 2^n.
 
     H_{2^n} is the Kronecker product of Sylvester blocks of at most 2^6, one
     per bit range, low bits first. The lowest block is one product on the
@@ -52,7 +54,7 @@ def _hadamard_product(values: np.ndarray) -> np.ndarray:
     products run through BLAS and are exact: every partial sum, in whatever
     order BLAS adds, is an integer of magnitude at most
     ``max|values| * 2^n``, which is checked, in Python ints, to be below
-    2^53 before the data is touched.
+    2^53 before the data is touched; ``OverflowError`` otherwise.
     """
     size = values.shape[0]
     n = size.bit_length() - 1
@@ -76,25 +78,7 @@ def _hadamard_product(values: np.ndarray) -> np.ndarray:
                       out=dst.reshape(-1, 1 << bits, 1 << done))
         src, dst = dst, src
         done += bits
-    return src
-
-
-def wht(values: np.ndarray) -> np.ndarray:
-    """The transform of :func:`_hadamard_product` as a new int64 array; the
-    input, in any integer dtype, is read and not modified."""
-    return _hadamard_product(values).astype(np.int64)
-
-
-def wht_inplace(a: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard transform of a length-2^n int64 array.
-
-    After the call, ``a[S] = sum_x (-1)^{popcount(S & x)} a_in[x]``, and
-    ``a`` is returned. Applying it twice multiplies the input by 2^n.
-    Raises ``OverflowError``, with ``a`` unmodified, if ``max|a| * 2^n`` is
-    not below 2^53.
-    """
-    np.copyto(a, _hadamard_product(a), casting="unsafe")
-    return a
+    return src.astype(np.int64)
 
 
 def cell_sums(values: np.ndarray, positions) -> np.ndarray:

@@ -109,16 +109,14 @@ def projection_values(f: TruthTable, subset: int) -> np.ndarray:
 
     Entry x equals ``sum_{S subset of T} coeffs[S] chi_S(x)``, an exact
     integer array (the scaled conditional mean of f given the variables
-    in ``subset``). The second transform runs in place on the masked
-    coefficients, with partial sums at most 4^n <= 2^48.
+    in ``subset``). The second transform reads the masked coefficients,
+    with partial sums at most 4^n <= 2^48.
     """
     if not 0 <= subset < (1 << f.n):
         raise ValueError("subset mask out of range")
-    work = wht(f).coeffs.astype(np.int64)
     masks = np.arange(1 << f.n, dtype=np.int64)
-    work[(masks | subset) != subset] = 0
-    _kernels.wht_inplace(work)
-    return work
+    masked = np.where((masks | subset) == subset, wht(f).coeffs, 0)
+    return _kernels.wht(masked)
 
 
 def sign_projection(f: TruthTable, subset: int) -> TruthTable:

@@ -453,7 +453,7 @@ def _run_fs_dist(cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
     or count, masks ascending."""
     rng = make_rng(cfg.seed, cfg.kind, 0)
     sp = wht(_fs_dist_table(cfg, rng))
-    weights = sp.coeffs.astype(np.int64) ** 2
+    weights = sp.coeffs ** 2
     fs = FsOracle.from_spectrum(sp, rng)
     observed = np.bincount(fs.draw_batch(cfg.num_draws), minlength=weights.size)
     stat, pvalue, dof = chi_square_gof(observed, weights)

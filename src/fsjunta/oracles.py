@@ -246,22 +246,6 @@ TranscriptSource = Callable[[np.random.Generator, int],
                             tuple[np.ndarray, np.ndarray]]
 
 
-def transcript_source(inst: RejectInstance | AcceptInstance) -> TranscriptSource:
-    """Transcript sampler bound to one fixed instance."""
-    if isinstance(inst, RejectInstance):
-        return lambda rng, m: reject_transcript(inst, rng, m)
-    if isinstance(inst, AcceptInstance):
-        return lambda rng, m: accept_transcript(inst, rng, m)
-    raise TypeError(f"not an instance family member: {inst!r}")
-
-
-def _instance_masks(inst: RejectInstance | AcceptInstance,
-                    rng: np.random.Generator) -> Callable[[int], np.ndarray]:
-    """Batch sampler of an instance's full subset masks."""
-    source = transcript_source(inst)
-    return lambda m: masks_from_transcript(*source(rng, m), inst.r, inst.n)
-
-
 def fresh_reject_source(r: int, n: int) -> TranscriptSource:
     """Transcript sampler that draws a fresh reject instance per call."""
 
@@ -322,10 +306,7 @@ class FsOracle:
     @classmethod
     def from_spectrum(cls, sp: Spectrum, rng: np.random.Generator,
                       counter: QueryCounter | None = None) -> "FsOracle":
-        weights = sp.coeffs.astype(np.int64) ** 2
-        nonzero = np.flatnonzero(weights)
-        return cls._from_weights(sp.n, nonzero.astype(mask_dtype(sp.n)), None,
-                                 weights[nonzero], 1 << (2 * sp.n), rng, counter)
+        return cls._from_weights(sp, sp.n, None, rng, counter)
 
     @classmethod
     def from_table(cls, table: TruthTable, rng: np.random.Generator,
@@ -342,11 +323,7 @@ class FsOracle:
         subsets and remapping them is exact. The support stays as int64
         inner masks; only drawn masks are ever remapped.
         """
-        sp = wht(spec.inner)
-        weights = sp.coeffs.astype(np.int64) ** 2
-        inner_masks = np.flatnonzero(weights).astype(np.int64, copy=False)
-        return cls._from_weights(spec.n, inner_masks, spec.relevant,
-                                 weights[inner_masks], 1 << (2 * spec.inner.n),
+        return cls._from_weights(wht(spec.inner), spec.n, spec.relevant,
                                  rng, counter)
 
     @classmethod
@@ -362,24 +339,30 @@ class FsOracle:
     @classmethod
     def for_reject(cls, inst: RejectInstance, rng: np.random.Generator,
                    counter: QueryCounter | None = None) -> "FsOracle":
-        return cls(inst.n, counter, _instance_masks(inst, rng))
+        return cls(inst.n, counter, lambda m: masks_from_transcript(
+            *reject_transcript(inst, rng, m), inst.r, inst.n))
 
     @classmethod
     def for_accept(cls, inst: AcceptInstance, rng: np.random.Generator,
                    counter: QueryCounter | None = None) -> "FsOracle":
-        return cls(inst.n, counter, _instance_masks(inst, rng))
+        return cls(inst.n, counter, lambda m: masks_from_transcript(
+            *accept_transcript(inst, rng, m), inst.r, inst.n))
 
     @classmethod
-    def _from_weights(cls, n: int, masks: np.ndarray,
-                      relevant: tuple[int, ...] | None, weights: np.ndarray,
-                      total: int, rng: np.random.Generator,
+    def _from_weights(cls, sp: Spectrum, n: int,
+                      relevant: tuple[int, ...] | None,
+                      rng: np.random.Generator,
                       counter: QueryCounter | None) -> "FsOracle":
-        """Sampler over int64 ``masks`` with the given weights. Bit t of a
-        mask is variable ``relevant[t]``; ``relevant=None`` means bit t is
-        variable t."""
-        if weights.size == 0 or np.any(weights <= 0):
-            raise FsOracleError("weights must be positive")
-        cum = np.cumsum(weights)
+        """Sampler that draws subset S of ``sp`` with probability
+        ``coeffs[S]^2 / 4^sp.n``, as an int64 mask over ``sp.n`` bits. Bit t
+        of a mask is variable ``relevant[t]`` of the n; ``relevant=None``
+        means bit t is variable t."""
+        weights = sp.coeffs ** 2
+        masks = np.flatnonzero(weights)
+        if masks.size == 0:
+            raise FsOracleError("the spectrum has no nonzero coefficient")
+        cum = np.cumsum(weights[masks])
+        total = 1 << (2 * sp.n)
         if int(cum[-1]) != total:
             raise FsOracleError(
                 f"squared weights sum to {int(cum[-1])}, expected {total}; "

@@ -19,11 +19,13 @@ def _largest_exact(n: int) -> int:
     return (1 << (53 - n)) - 1
 
 
-def test_numpy_butterfly_is_an_involution_up_to_scale():
+def test_wht_is_an_involution_up_to_scale():
     rng = np.random.default_rng(0)
     a = rng.integers(-5, 6, size=256).astype(np.int64)
-    twice = _kernels.wht_inplace(_kernels.wht_inplace(a.copy()))
+    before = a.copy()
+    twice = _kernels.wht(_kernels.wht(a))
     assert np.array_equal(twice, a * 256)
+    assert np.array_equal(a, before)
 
 
 def test_wht_matches_python_ints_up_to_the_exact_bound():
@@ -38,8 +40,11 @@ def test_wht_matches_python_ints_up_to_the_exact_bound():
             cases.append(a)
         for a in cases:
             expected = _python_int_wht(a)
-            assert _kernels.wht(a).tolist() == expected
-            assert _kernels.wht_inplace(a.copy()).tolist() == expected
+            before = a.copy()
+            out = _kernels.wht(a)
+            assert out.dtype == np.int64
+            assert out.tolist() == expected
+            assert np.array_equal(a, before)
 
 
 def test_wht_refuses_inputs_at_the_exact_bound_without_touching_them():
@@ -49,18 +54,8 @@ def test_wht_refuses_inputs_at_the_exact_bound_without_touching_them():
             a[-1] = bad
             before = a.copy()
             with pytest.raises(OverflowError):
-                _kernels.wht_inplace(a)
-            with pytest.raises(OverflowError):
                 _kernels.wht(a)
             assert np.array_equal(a, before)
-
-
-def test_wht_inplace_returns_and_overwrites_its_argument():
-    a = np.array([1, -1, -1, 1, 1, 1, -1, 1], dtype=np.int64)
-    expected = _python_int_wht(a)
-    out = _kernels.wht_inplace(a)
-    assert out is a
-    assert a.tolist() == expected
 
 
 def test_wht_matches_the_integer_butterfly_on_tables_and_round_trips():
@@ -68,7 +63,7 @@ def test_wht_matches_the_integer_butterfly_on_tables_and_round_trips():
         table = random_table(n, make_rng(0, "kernel-wht", n))
         expected = butterfly_wht(table.values.astype(np.int64))
         assert np.array_equal(_kernels.wht(table.values), expected)
-        assert np.array_equal(_kernels.wht_inplace(table.values.astype(np.int64)),
+        assert np.array_equal(_kernels.wht(table.values.astype(np.int64)),
                               expected)
         sp = wht(table)
         assert np.array_equal(sp.coeffs, expected)

@@ -96,6 +96,18 @@ class TestFsFromSpectrum:
         with pytest.raises(FsOracleError):
             FsOracle.from_spectrum(Spectrum(2, coeffs), make_rng(0, "bad"))
 
+    def test_empty_support_rejected(self):
+        with pytest.raises(FsOracleError):
+            FsOracle.from_spectrum(Spectrum(2, np.zeros(4, np.int64)),
+                                   make_rng(0, "empty"))
+
+    def test_batches_are_int64_masks(self):
+        f = random_table(5, make_rng(0, "dtype"))
+        for fs in (FsOracle.from_spectrum(wht(f), make_rng(1, "dtype")),
+                   FsOracle.from_table(f, make_rng(2, "dtype"))):
+            assert fs.draw_batch(0).dtype == np.int64
+            assert fs.draw_batch(7).dtype == np.int64
+
     def test_counter_increments_per_draw(self):
         counter = QueryCounter()
         fs = FsOracle.from_table(AND2, make_rng(0, "ctr"), counter=counter)

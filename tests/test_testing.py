@@ -23,9 +23,10 @@ from fsjunta import (
     wht,
 )
 from fsjunta.oracles import (
+    accept_transcript,
     fresh_accept_source,
     fresh_reject_source,
-    transcript_source,
+    reject_transcript,
 )
 from fsjunta.testing import (
     ACCEPT,
@@ -191,7 +192,7 @@ class TestCollisionDistinguisher:
     def test_fixed_accept_instance_also_safe(self):
         rng = make_rng(1, "cdf")
         inst = sample_accept_instance(4, 40, rng)
-        source = transcript_source(inst)
+        source = lambda rng, m: accept_transcript(inst, rng, m)
         for trial in range(100):
             assert collision_distinguisher(source, 30, rng) == ACCEPT
 
@@ -208,7 +209,7 @@ class TestCollisionDistinguisher:
         mismatches = 0
         pairs = 0
         for _ in range(2000):
-            slots, masks = transcript_source(inst)(rng, 2)
+            slots, masks = reject_transcript(inst, rng, 2)
             if slots[0] == slots[1]:
                 pairs += 1
                 parity = np.bitwise_count(masks.astype(np.uint64)) & 1
