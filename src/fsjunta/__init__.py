@@ -49,7 +49,6 @@ from .oracles import (
     FsOracle,
     FsOracleError,
     LabeledExample,
-    QueryCounter,
     derive_seed,
     make_rng,
 )

@@ -184,7 +184,7 @@ class JuntaSpec:
             raise ValueError("ambient variable count must be positive")
         if any(b <= a for a, b in zip(rel, rel[1:])):
             raise ValueError("relevant variables must be strictly increasing")
-        if rel and not 0 <= rel[-1] < self.n:
+        if rel and not (0 <= rel[0] and rel[-1] < self.n):
             raise ValueError("relevant variable index out of range")
         if len(rel) != self.inner.n:
             raise ValueError("inner table arity must match the relevant set size")

@@ -324,7 +324,7 @@ def _learn_junta_trial(cfg: ExperimentConfig, rng: np.random.Generator, arm) -> 
         spec = JuntaSpec(cfg.n, sorted(int(v) for v in chosen),
                          make_parity(cfg.k, (1 << cfg.k) - 1))
         fs = FsOracle.for_parity(cfg.n, mask_from_vars(chosen), rng)
-    ex = ExOracle.from_junta(spec, rng)
+    ex = ExOracle(spec, rng)
     report = learn_junta(fs, ex, cfg.k, cfg.eps, cfg.max_ex)
     return {
         "status": report.status,

@@ -17,9 +17,9 @@ Examples are drawn in chunks, the first as large as the coverage target and
 each next one twice the last, and every chunk is projected in one array
 pass. The stage stops at the exact example where coverage is reached or the
 cap is hit, and gives the rest of that chunk back to the oracle
-(``ExOracle.unread``), so the reported example count, the shared query
-counter and the generator state all equal those of drawing one example at
-a time.
+(``ExOracle.unread``), so the reported example count, the oracle's call
+count and the generator state all equal those of drawing one example at a
+time.
 """
 from __future__ import annotations
 
@@ -57,11 +57,12 @@ class Hypothesis:
         object.__setattr__(self, "vars", tuple(int(v) for v in self.vars))
         if any(b <= a for a, b in zip(self.vars, self.vars[1:])):
             raise ValueError("variables must be strictly increasing")
-        arr = np.asarray(self.entries).astype(np.int8, copy=True)
+        arr = np.asarray(self.entries)
         if arr.shape != (1 << len(self.vars),):
             raise ValueError("entry table must have one cell per assignment")
         if not np.all(np.isin(arr, (-1, UNSEEN, 1))):
             raise ValueError("entries must be -1, +1 or UNSEEN")
+        arr = arr.astype(np.int8, copy=True)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -148,7 +149,7 @@ def learn_junta(fs: FsOracle, ex: ExOracle, k: int, eps: float,
     ... examples (never past the cap) and finds each cell's first example
     in a chunk with one ``np.minimum.at``. In the chunk where coverage is
     reached it keeps the examples up to that one and hands the others back
-    with ``ex.unread``. ``ex_calls``, ``ex.counter`` and the state of the
+    with ``ex.unread``. ``ex_calls``, ``ex.calls`` and the state of the
     example generator therefore end exactly as with one-at-a-time draws.
     """
     before = fs.calls

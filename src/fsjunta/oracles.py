@@ -38,7 +38,6 @@ sorted, only if that prefix has not reached the support.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -118,15 +117,6 @@ def make_rng(master: int, label: str, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(derive_seed(master, label, index))
 
 
-@dataclass
-class QueryCounter:
-    """Monotone per-oracle-kind call counts; share one instance across the
-    oracles of a run to get end-to-end accounting."""
-
-    fs_calls: int = 0
-    ex_calls: int = 0
-
-
 class LabeledExample(NamedTuple):
     x: int
     y: int
@@ -141,26 +131,19 @@ class ExOracle:
 
     ``x`` is one uniform draw below 2^n and its label is read from the
     inner table at x's relevant bits, so no 2^n table is built and n may be
-    up to ``EX_N_MAX``. A truth table is the junta on all of its variables,
-    so ``ExOracle(table, ...)`` draws exactly what ``from_junta`` does.
+    up to ``EX_N_MAX``. A truth table is the junta on all of its variables.
+    ``calls`` counts the examples drawn.
     """
 
-    def __init__(self, target: TruthTable | JuntaSpec, rng: np.random.Generator,
-                 counter: QueryCounter | None = None):
+    def __init__(self, target: TruthTable | JuntaSpec, rng: np.random.Generator):
         self.spec = as_junta(target)
         if self.spec.n > EX_N_MAX:
             raise ValueError(
                 f"uniform examples need n <= {EX_N_MAX}, got {self.spec.n}")
         self._rng = rng
-        self.counter = counter if counter is not None else QueryCounter()
+        self.calls = 0
         self._batch_state = None
         self._batch_size = 0
-
-    @classmethod
-    def from_junta(cls, spec: JuntaSpec, rng: np.random.Generator,
-                   counter: QueryCounter | None = None) -> "ExOracle":
-        """Examples of a junta over any ambient n up to ``EX_N_MAX``."""
-        return cls(spec, rng, counter)
 
     def draw(self) -> LabeledExample:
         xs, ys = self.draw_batch(1)
@@ -173,7 +156,7 @@ class ExOracle:
         self._batch_state = self._rng.bit_generator.state
         self._batch_size = m
         xs = self._rng.integers(0, 1 << self.spec.n, size=m, dtype=np.int64)
-        self.counter.ex_calls += m
+        self.calls += m
         cells = project_assignments(xs, self.spec.relevant)
         return xs, self.spec.inner.values[cells]
 
@@ -181,7 +164,7 @@ class ExOracle:
         """Give back the last ``count`` examples of the latest batch.
 
         The generator is reset to its state before that batch and the kept
-        prefix is drawn again, so the generator and ``counter.ex_calls``
+        prefix is drawn again, so the generator and ``calls``
         end exactly as if only the prefix had been drawn; the prefix then
         counts as the latest batch. Nothing else may draw from the
         generator between the batch and this call.
@@ -195,11 +178,7 @@ class ExOracle:
         self._rng.bit_generator.state = self._batch_state
         self._rng.integers(0, 1 << self.spec.n, size=kept, dtype=np.int64)
         self._batch_size = kept
-        self.counter.ex_calls -= count
-
-    @property
-    def calls(self) -> int:
-        return self.counter.ex_calls
+        self.calls -= count
 
 
 def reject_transcript(inst: RejectInstance, rng: np.random.Generator,
@@ -274,7 +253,7 @@ class FsOracle:
     """Subset sampler following the squared spectral weights of a target.
 
     Construct via the classmethods; every variant draws subsets with their
-    exact probabilities and bumps ``counter.fs_calls`` once per draw.
+    exact probabilities and adds one to ``calls`` per draw.
 
     Draws never fail. Bshouty and Jackson's quantum procedure fails with a
     fixed probability p (1/2 for theirs) independently of its answer, so a
@@ -285,8 +264,7 @@ class FsOracle:
     # Always 0: draws never fail. The benchmark's tracer reads it.
     failure_prob = 0.0
 
-    def __init__(self, n: int, counter: QueryCounter | None,
-                 sample_batch: Callable[[int], np.ndarray],
+    def __init__(self, n: int, sample_batch: Callable[[int], np.ndarray],
                  relevant: tuple[int, ...] | None = None,
                  sample_union: Callable[[int], int] | None = None):
         """``sample_batch(m)`` draws m masks in the sampler's own
@@ -295,7 +273,7 @@ class FsOracle:
         that ``sample_batch(m)`` would draw, from the same stream; by
         default it ORs that batch."""
         self.n = n
-        self.counter = counter if counter is not None else QueryCounter()
+        self.calls = 0
         self._sample_batch = sample_batch
         self._sample_union = sample_union or (lambda m: union_mask(sample_batch(m)))
         self._relevant = relevant
@@ -304,18 +282,15 @@ class FsOracle:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def from_spectrum(cls, sp: Spectrum, rng: np.random.Generator,
-                      counter: QueryCounter | None = None) -> "FsOracle":
-        return cls._from_weights(sp, sp.n, None, rng, counter)
+    def from_spectrum(cls, sp: Spectrum, rng: np.random.Generator) -> "FsOracle":
+        return cls._from_weights(sp, sp.n, None, rng)
 
     @classmethod
-    def from_table(cls, table: TruthTable, rng: np.random.Generator,
-                   counter: QueryCounter | None = None) -> "FsOracle":
-        return cls.from_spectrum(wht(table), rng, counter)
+    def from_table(cls, table: TruthTable, rng: np.random.Generator) -> "FsOracle":
+        return cls.from_spectrum(wht(table), rng)
 
     @classmethod
-    def from_junta(cls, spec: JuntaSpec, rng: np.random.Generator,
-                   counter: QueryCounter | None = None) -> "FsOracle":
+    def from_junta(cls, spec: JuntaSpec, rng: np.random.Generator) -> "FsOracle":
         """Sampler for a junta over any ambient n, via its inner spectrum.
 
         The lifted function's spectrum is the inner one with each inner
@@ -323,36 +298,34 @@ class FsOracle:
         subsets and remapping them is exact. The support stays as int64
         inner masks; only drawn masks are ever remapped.
         """
-        return cls._from_weights(wht(spec.inner), spec.n, spec.relevant,
-                                 rng, counter)
+        return cls._from_weights(wht(spec.inner), spec.n, spec.relevant, rng)
 
     @classmethod
-    def for_parity(cls, n: int, subset: int, rng: np.random.Generator,
-                   counter: QueryCounter | None = None) -> "FsOracle":
+    def for_parity(cls, n: int, subset: int,
+                   rng: np.random.Generator) -> "FsOracle":
         """Point mass: a parity's sampler always answers its own subset.
         ``subset=0`` covers constant targets."""
         if subset < 0 or subset >= (1 << n):
             raise FsOracleError("parity subset out of range")
         dtype = mask_dtype(n)
-        return cls(n, counter, lambda m: np.full(m, subset, dtype=dtype))
+        return cls(n, lambda m: np.full(m, subset, dtype=dtype))
 
     @classmethod
-    def for_reject(cls, inst: RejectInstance, rng: np.random.Generator,
-                   counter: QueryCounter | None = None) -> "FsOracle":
-        return cls(inst.n, counter, lambda m: masks_from_transcript(
+    def for_reject(cls, inst: RejectInstance,
+                   rng: np.random.Generator) -> "FsOracle":
+        return cls(inst.n, lambda m: masks_from_transcript(
             *reject_transcript(inst, rng, m), inst.r, inst.n))
 
     @classmethod
-    def for_accept(cls, inst: AcceptInstance, rng: np.random.Generator,
-                   counter: QueryCounter | None = None) -> "FsOracle":
-        return cls(inst.n, counter, lambda m: masks_from_transcript(
+    def for_accept(cls, inst: AcceptInstance,
+                   rng: np.random.Generator) -> "FsOracle":
+        return cls(inst.n, lambda m: masks_from_transcript(
             *accept_transcript(inst, rng, m), inst.r, inst.n))
 
     @classmethod
     def _from_weights(cls, sp: Spectrum, n: int,
                       relevant: tuple[int, ...] | None,
-                      rng: np.random.Generator,
-                      counter: QueryCounter | None) -> "FsOracle":
+                      rng: np.random.Generator) -> "FsOracle":
         """Sampler that draws subset S of ``sp`` with probability
         ``coeffs[S]^2 / 4^sp.n``, as an int64 mask over ``sp.n`` bits. Bit t
         of a mask is variable ``relevant[t]`` of the n; ``relevant=None``
@@ -396,7 +369,7 @@ class FsOracle:
                 union |= union_mask(masks[np.searchsorted(cum, rest, side="right")])
             return union
 
-        return cls(n, counter, sample_batch, relevant, sample_union)
+        return cls(n, sample_batch, relevant, sample_union)
 
     # -- drawing -----------------------------------------------------------
 
@@ -409,14 +382,14 @@ class FsOracle:
         return lift_masks(masks, self._lift_tables)
 
     def draw(self) -> int:
-        self.counter.fs_calls += 1
+        self.calls += 1
         return int(self._ambient(self._sample_batch(1))[0])
 
     def draw_batch(self, m: int) -> np.ndarray:
         """m subset masks as a 1-D array of dtype ``mask_dtype(n)``."""
         if m < 0:
             raise ValueError("batch size must be non-negative")
-        self.counter.fs_calls += m
+        self.calls += m
         return self._ambient(self._sample_batch(m))
 
     def draw_exposed(self, m: int) -> tuple[int, ...]:
@@ -428,12 +401,8 @@ class FsOracle:
         """
         if m < 0:
             raise ValueError("batch size must be non-negative")
-        self.counter.fs_calls += m
+        self.calls += m
         exposed = vars_from_mask(self._sample_union(m))
         if self._relevant is None:
             return exposed
         return tuple(self._relevant[t] for t in exposed)
-
-    @property
-    def calls(self) -> int:
-        return self.counter.fs_calls

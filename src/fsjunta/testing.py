@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boolfn import JuntaSpec, TruthTable, make_junta, random_table
-from .oracles import FsOracle, QueryCounter, TranscriptSource
+from .oracles import FsOracle, TranscriptSource
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -86,12 +86,10 @@ def sample_scenario(which: str, k: int, n: int,
     raise ValueError(f"unknown scenario {which!r}")
 
 
-def scenario_oracle(fn: ScenarioFunction, rng: np.random.Generator,
-                    counter: QueryCounter | None = None) -> FsOracle:
+def scenario_oracle(fn: ScenarioFunction, rng: np.random.Generator) -> FsOracle:
     """Subset sampler for the ambient function of a scenario draw."""
     relevant = tuple(range(fn.table.n))
-    return FsOracle.from_junta(JuntaSpec(fn.n, relevant, fn.table), rng,
-                               counter=counter)
+    return FsOracle.from_junta(JuntaSpec(fn.n, relevant, fn.table), rng)
 
 
 def scenario_draws(k: int, c: float) -> int:

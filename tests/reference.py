@@ -72,16 +72,15 @@ def naive_project(x: int, positions) -> int:
     return cell
 
 
-def naive_stage_two(spec, rng, counter, found, needed, cap):
+def naive_stage_two(spec, rng, found, needed, cap):
     """The learner's stage 2 one example at a time, each drawn as a scalar
     ``rng.integers(0, 2^n)`` and projected bit by bit; returns (entries,
-    cells seen, examples drawn) and counts every draw on ``counter``."""
+    cells seen, examples drawn)."""
     entries = np.zeros(1 << len(found), dtype=np.int8)
     seen = 0
     draws = 0
     while seen < needed and draws < cap:
         x = int(rng.integers(0, 1 << spec.n))
-        counter.ex_calls += 1
         y = int(spec.inner.values[naive_project(x, spec.relevant)])
         draws += 1
         cell = naive_project(x, found)

@@ -13,7 +13,6 @@ import numpy as np
 from fsjunta import (
     ExOracle,
     FsOracle,
-    QueryCounter,
     TruthTable,
     chi_square_gof,
     distance,
@@ -175,13 +174,12 @@ def test_criterion_05_tester_completeness():
         spec = random_junta_spec(n, k, rng)
         expected_queries = math.ceil(10 * (k + 1) / eps)
         for _ in range(20):
-            counter = QueryCounter()
-            fs = FsOracle.from_junta(spec, rng, counter=counter)
+            fs = FsOracle.from_junta(spec, rng)
             verdict = junta_test(fs, k, eps)
             runs += 1
             accepts += verdict.decision == ACCEPT
             query_ok &= (verdict.queries_used == expected_queries
-                         == counter.fs_calls)
+                         == fs.calls)
     elapsed = time.perf_counter() - t0
     ok = accepts == runs == 1000 and query_ok and elapsed < limit
     _report(5, "tester completeness", ok, elapsed, limit,
@@ -298,9 +296,8 @@ def test_criterion_10_learner_end_to_end():
     for _ in range(trials):
         spec = random_junta_spec(n, k, rng)
         table = make_junta(spec)
-        counter = QueryCounter()
-        fs = FsOracle.from_junta(spec, rng, counter=counter)
-        ex = ExOracle(table, rng, counter=counter)
+        fs = FsOracle.from_junta(spec, rng)
+        ex = ExOracle(table, rng)
         report = learn_junta(fs, ex, k, eps)
         fs_exact &= report.fs_calls == expected_fs
         # completed (not timed out) within the stated example budget

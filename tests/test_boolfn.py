@@ -154,6 +154,15 @@ class TestJunta:
         spec = random_junta_spec(10, 8, np.random.default_rng(1))
         assert distance(make_junta(spec), make_junta(spec)) == 0
 
+    def test_spec_validation(self):
+        inner = make_parity(2, 0b11)
+        assert JuntaSpec(6, (0, 5), inner).k == 2
+        # a negative index, an index equal to n, a non-increasing list and
+        # an arity mismatch
+        for relevant in [(-1, 2), (2, 6), (3, 2), (1, 2, 3)]:
+            with pytest.raises(ValueError):
+                JuntaSpec(6, relevant, inner)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.integers(5, 8))
     def test_influence_is_zero_exactly_off_the_relevant_set(self, seed, k, n):

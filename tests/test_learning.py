@@ -11,7 +11,6 @@ from fsjunta import (
     Hypothesis,
     JuntaSpec,
     N_MAX,
-    QueryCounter,
     TruthTable,
     find_influential,
     hypothesis_error,
@@ -76,10 +75,9 @@ class TestFindInfluential:
         assert find_influential(fs, 2, 0.1) == (0, 1)
 
     def test_draw_count_formula(self):
-        counter = QueryCounter()
-        fs = FsOracle.for_parity(8, 0b1, make_rng(0, "q"), counter=counter)
+        fs = FsOracle.for_parity(8, 0b1, make_rng(0, "q"))
         find_influential(fs, 6, 0.25)
-        assert counter.fs_calls == math.ceil((10 * 6 / 0.25) * math.log(60))
+        assert fs.calls == math.ceil((10 * 6 / 0.25) * math.log(60))
 
     def test_heavy_variables_recovered_whp(self):
         rng = make_rng(1, "heavy")
@@ -113,30 +111,22 @@ class TestFindInfluential:
 
 
 class TestLearnJunta:
-    def _oracles(self, table, fs, seed):
-        counter = QueryCounter()
-        fs_oracle = fs(counter)
-        ex = ExOracle(table, make_rng(seed, "ex"), counter=counter)
-        return fs_oracle, ex, counter
-
     def test_two_variable_parity_learned_exactly(self):
         table = make_parity(10, 0b11)
-        counter = QueryCounter()
-        fs = FsOracle.for_parity(10, 0b11, make_rng(0, "fs"), counter=counter)
-        ex = ExOracle(table, make_rng(0, "ex"), counter=counter)
+        fs = FsOracle.for_parity(10, 0b11, make_rng(0, "fs"))
+        ex = ExOracle(table, make_rng(0, "ex"))
         report = learn_junta(fs, ex, 2, 0.1)
         assert report.status == SUCCESS
         assert report.hypothesis.vars == (0, 1)
         assert not np.any(report.hypothesis.entries == UNSEEN)
         assert hypothesis_error(table, report.hypothesis) == 0
         assert report.fs_calls == stage_one_draws(2, 0.1)
-        assert report.ex_calls == counter.ex_calls
+        assert report.ex_calls == ex.calls
 
     def test_constant_true_target(self):
         table = make_constant(8, -1)
-        counter = QueryCounter()
-        fs = FsOracle.from_table(table, make_rng(1, "fs"), counter=counter)
-        ex = ExOracle(table, make_rng(1, "ex"), counter=counter)
+        fs = FsOracle.from_table(table, make_rng(1, "fs"))
+        ex = ExOracle(table, make_rng(1, "ex"))
         report = learn_junta(fs, ex, 3, 0.1)
         assert report.status == SUCCESS
         assert report.hypothesis.vars == ()
@@ -151,9 +141,8 @@ class TestLearnJunta:
         for trial in range(15):
             spec = random_junta_spec(16, 6, rng)
             table = make_junta(spec)
-            counter = QueryCounter()
-            fs = FsOracle.from_junta(spec, rng, counter=counter)
-            ex = ExOracle(table, rng, counter=counter)
+            fs = FsOracle.from_junta(spec, rng)
+            ex = ExOracle(table, rng)
             report = learn_junta(fs, ex, 6, 0.1)
             assert report.fs_calls == stage_one_draws(6, 0.1)
             assert report.ex_calls <= default_example_cap(6, 0.1)
@@ -165,9 +154,8 @@ class TestLearnJunta:
     def test_stage_one_overflow_when_the_promise_is_false(self):
         # a 3-variable parity exposes 3 variables with the first draw
         table = make_parity(6, 0b111)
-        counter = QueryCounter()
-        fs = FsOracle.for_parity(6, 0b111, make_rng(3, "fs"), counter=counter)
-        ex = ExOracle(table, make_rng(3, "ex"), counter=counter)
+        fs = FsOracle.for_parity(6, 0b111, make_rng(3, "fs"))
+        ex = ExOracle(table, make_rng(3, "ex"))
         report = learn_junta(fs, ex, 2, 0.1)
         assert report.status == STAGE_ONE_OVERFLOW
         assert report.hypothesis is None
@@ -176,9 +164,8 @@ class TestLearnJunta:
 
     def test_stage_two_timeout_is_reported(self):
         table = make_parity(8, 0b1100)
-        counter = QueryCounter()
-        fs = FsOracle.for_parity(8, 0b1100, make_rng(4, "fs"), counter=counter)
-        ex = ExOracle(table, make_rng(4, "ex"), counter=counter)
+        fs = FsOracle.for_parity(8, 0b1100, make_rng(4, "fs"))
+        ex = ExOracle(table, make_rng(4, "ex"))
         report = learn_junta(fs, ex, 2, 0.1, max_ex_draws=2)
         assert report.status == STAGE_TWO_TIMEOUT
         assert report.ex_calls == 2
@@ -222,9 +209,8 @@ class TestLearnJunta:
         for trial in range(20):
             spec = random_junta_spec(14, 5, rng)
             table = make_junta(spec)
-            counter = QueryCounter()
-            fs = FsOracle.from_junta(spec, rng, counter=counter)
-            ex = ExOracle(table, rng, counter=counter)
+            fs = FsOracle.from_junta(spec, rng)
+            ex = ExOracle(table, rng)
             report = learn_junta(fs, ex, 5, 0.1, max_ex_draws=40)
             if report.hypothesis is None:
                 continue
@@ -253,27 +239,25 @@ class TestChunkedStageTwo:
     @staticmethod
     def run_both(spec, k, eps, seed, cap):
         rng = make_rng(seed, "stage2")
-        counter = QueryCounter()
-        fs = FsOracle.from_junta(spec, rng, counter=counter)
-        report = learn_junta(fs, ExOracle.from_junta(spec, rng, counter=counter),
-                             k, eps, cap)
+        fs = FsOracle.from_junta(spec, rng)
+        ex = ExOracle(spec, rng)
+        report = learn_junta(fs, ex, k, eps, cap)
 
         rng_ref = make_rng(seed, "stage2")
-        counter_ref = QueryCounter()
-        found = find_influential(
-            FsOracle.from_junta(spec, rng_ref, counter=counter_ref), k, eps)
+        fs_ref = FsOracle.from_junta(spec, rng_ref)
+        found = find_influential(fs_ref, k, eps)
         cells = 1 << len(found)
         needed = coverage_target(cells, eps)
         budget = default_example_cap(k, eps) if cap is None else cap
-        entries, seen, draws = naive_stage_two(spec, rng_ref, counter_ref,
-                                               found, needed, budget)
+        entries, seen, draws = naive_stage_two(spec, rng_ref, found, needed,
+                                               budget)
 
         assert report.hypothesis.vars == found
         assert np.array_equal(report.hypothesis.entries, entries)
         assert report.status == (SUCCESS if seen >= needed else STAGE_TWO_TIMEOUT)
         assert report.ex_calls == draws
         assert report.encountered_fraction == Fraction(seen, cells)
-        assert counter == counter_ref
+        assert (fs.calls, ex.calls) == (fs_ref.calls, draws)
         assert rng.bit_generator.state == rng_ref.bit_generator.state
         return report, needed
 
@@ -418,6 +402,8 @@ class TestHypothesis:
             Hypothesis((1, 0), np.array([1, 1, 1, 1], dtype=np.int8))
         with pytest.raises(ValueError):
             Hypothesis((0,), np.array([1, 2], dtype=np.int8))
+        with pytest.raises(ValueError):  # would wrap to [-1, 1] as int8
+            Hypothesis((0,), np.array([255, 257]))
         with pytest.raises(ValueError):
             Hypothesis((0,), np.array([1], dtype=np.int8))
         with pytest.raises(ValueError):

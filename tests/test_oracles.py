@@ -8,7 +8,6 @@ from fsjunta import (
     FsOracle,
     FsOracleError,
     JuntaSpec,
-    QueryCounter,
     RejectInstance,
     Spectrum,
     TruthTable,
@@ -109,11 +108,10 @@ class TestFsFromSpectrum:
             assert fs.draw_batch(7).dtype == np.int64
 
     def test_counter_increments_per_draw(self):
-        counter = QueryCounter()
-        fs = FsOracle.from_table(AND2, make_rng(0, "ctr"), counter=counter)
+        fs = FsOracle.from_table(AND2, make_rng(0, "ctr"))
         fs.draw()
         fs.draw_batch(9)
-        assert counter.fs_calls == 10 == fs.calls
+        assert fs.calls == 10
 
     def test_junta_lift_has_identical_support_and_weights(self):
         rng = make_rng(0, "lift")
@@ -161,7 +159,7 @@ class TestClassicalOracles:
             spec = random_junta_spec(int(rng.integers(4, 13)),
                                      int(rng.integers(1, 5)), rng)
             table_ex = ExOracle(make_junta(spec), make_rng(trial, "exj"))
-            junta_ex = ExOracle.from_junta(spec, make_rng(trial, "exj"))
+            junta_ex = ExOracle(spec, make_rng(trial, "exj"))
             for _ in range(20):
                 assert junta_ex.draw() == table_ex.draw()
             xs_table, ys_table = table_ex.draw_batch(500)
@@ -173,7 +171,7 @@ class TestClassicalOracles:
 
     def test_ex_from_junta_beyond_the_table_cap(self):
         spec = JuntaSpec(EX_N_MAX, (3, 40, EX_N_MAX - 1), make_parity(3, 0b111))
-        ex = ExOracle.from_junta(spec, make_rng(0, "exbig"))
+        ex = ExOracle(spec, make_rng(0, "exbig"))
         xs, ys = ex.draw_batch(2000)
         bits = ((xs >> 3) ^ (xs >> 40) ^ (xs >> (EX_N_MAX - 1))) & 1
         assert np.array_equal(ys, 1 - 2 * bits)
@@ -184,17 +182,7 @@ class TestClassicalOracles:
     def test_ex_rejects_an_ambient_n_past_int64(self):
         spec = JuntaSpec(EX_N_MAX + 1, (0,), make_parity(1, 1))
         with pytest.raises(ValueError):
-            ExOracle.from_junta(spec, make_rng(0, "exbad"))
-
-    def test_shared_counter_accumulates_by_kind(self):
-        counter = QueryCounter()
-        f = make_parity(3, 0b011)
-        fs = FsOracle.from_table(f, make_rng(0, "sh"), counter=counter)
-        ex = ExOracle(f, make_rng(1, "sh"), counter=counter)
-        fs.draw_batch(5)
-        ex.draw()
-        ex.draw()
-        assert (counter.fs_calls, counter.ex_calls) == (5, 2)
+            ExOracle(spec, make_rng(0, "exbad"))
 
 
 class TestExUnread:
@@ -204,7 +192,7 @@ class TestExUnread:
     def oracle(n, seed=0):
         spec = JuntaSpec(n, (0, n - 1), make_parity(2, 0b11))
         rng = make_rng(seed, "unread")
-        return ExOracle.from_junta(spec, rng), rng
+        return ExOracle(spec, rng), rng
 
     @pytest.mark.parametrize("n", [5, 32, 33, EX_N_MAX])
     def test_unread_zero_is_a_no_op(self, n):
@@ -573,6 +561,35 @@ EXPOSED_BUILDERS = {
     "for_accept": lambda rng: FsOracle.for_accept(
         sample_accept_instance(4, 1024, make_rng(0, "exposed-accept")), rng),
 }
+
+
+CALL_BUILDERS = {**EXPOSED_BUILDERS, "ExOracle": lambda rng: ExOracle(
+    random_table(6, make_rng(0, "calls-ex")), rng)}
+
+
+class TestCallCounts:
+    @pytest.mark.parametrize("name", CALL_BUILDERS)
+    def test_each_oracle_counts_its_own_draws(self, name):
+        rng = make_rng(5, "calls")
+        oracle, other = CALL_BUILDERS[name](rng), CALL_BUILDERS[name](rng)
+        assert oracle.calls == 0
+        oracle.draw()
+        want = 1
+        for m in (0, 1, 7):
+            oracle.draw_batch(m)
+            want += m
+            assert oracle.calls == want
+            if isinstance(oracle, ExOracle):
+                oracle.unread(m // 2)
+                want -= m // 2
+            else:
+                oracle.draw_exposed(m)
+                want += m
+            assert oracle.calls == want
+        # a second oracle on the same generator keeps its own count
+        assert other.calls == 0
+        other.draw_batch(3)
+        assert (oracle.calls, other.calls) == (want, 3)
 
 
 class TestDrawExposed:

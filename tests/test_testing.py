@@ -6,7 +6,6 @@ import pytest
 
 from fsjunta import (
     FsOracle,
-    QueryCounter,
     chi_square_gof,
     collision_distinguisher,
     influence_direct,
@@ -47,12 +46,11 @@ class TestJuntaTest:
             k = int(rng.integers(1, 9))
             n = int(rng.integers(k + 1, 17))
             spec = random_junta_spec(n, k, rng)
-            counter = QueryCounter()
-            fs = FsOracle.from_junta(spec, rng, counter=counter)
+            fs = FsOracle.from_junta(spec, rng)
             verdict = junta_test(fs, k, 0.1)
             assert verdict.decision == ACCEPT
             assert verdict.queries_used == math.ceil(10 * (k + 1) / 0.1)
-            assert counter.fs_calls == verdict.queries_used
+            assert fs.calls == verdict.queries_used
             assert verdict.exposed <= set(spec.relevant)
 
     def test_draw_count_is_exact_for_decimal_eps(self):
@@ -132,10 +130,9 @@ class TestScenarios:
         assert hits >= 45
 
     def test_draw_count_follows_the_log_rule(self):
-        counter = QueryCounter()
-        fs = FsOracle.for_parity(20, 0b1, make_rng(0, "dc"), counter=counter)
+        fs = FsOracle.for_parity(20, 0b1, make_rng(0, "dc"))
         scenario_distinguisher(fs, 14, c=8)
-        assert counter.fs_calls == math.ceil(8 * math.log2(16))
+        assert fs.calls == math.ceil(8 * math.log2(16))
 
     def test_degenerate_constant_guesses_scenario_two(self):
         fs = FsOracle.from_table(make_constant(4, 1), make_rng(0, "dg"))
