@@ -19,6 +19,7 @@ samplers in :mod:`fsjunta.oracles`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -41,7 +42,7 @@ class BudgetExceededError(RuntimeError):
 def mask_from_vars(variables: Iterable[int]) -> int:
     mask = 0
     for v in variables:
-        mask |= 1 << int(v)
+        mask |= 1 << operator.index(v)
     return mask
 
 
@@ -178,7 +179,7 @@ class JuntaSpec:
     inner: TruthTable
 
     def __post_init__(self):
-        rel = tuple(int(v) for v in self.relevant)
+        rel = tuple(operator.index(v) for v in self.relevant)
         object.__setattr__(self, "relevant", rel)
         if self.n < 1:
             raise ValueError("ambient variable count must be positive")
@@ -275,7 +276,11 @@ class RejectInstance:
     """Addressing over r address variables with all 2^r leaves wired to
     distinct non-address variables; far from every (r + 2^{r-1})-junta.
 
-    ``tau`` is stored as a read-only int64 array.
+    ``tau`` is stored as a read-only int64 array. The constructor checks its
+    input; :func:`sample_reject_instance` skips that check, because
+    ``rng.choice(n - r, size=2^r, replace=False)`` returns exactly 2^r
+    distinct int64 slots in ``0..n-r-1``, and it freezes that fresh array in
+    place instead of copying it.
     """
 
     r: int
@@ -292,7 +297,12 @@ class AcceptInstance:
     """Addressing variant wiring leaf pairs (i, 2^r-1-i) to the same
     variable up to a per-pair sign, so only r + 2^{r-1} variables matter.
 
-    ``tau`` and ``s`` are stored as read-only int64 arrays.
+    ``tau`` and ``s`` are stored as read-only int64 arrays. The constructor
+    checks its input; :func:`sample_accept_instance` skips that check,
+    because its ``tau`` comes from ``rng.choice(..., replace=False)`` as for
+    :class:`RejectInstance`, and its ``s`` is ``2 * b - 1`` for 2^{r-1} bits
+    b in {0, 1}. It freezes both fresh arrays in place instead of copying
+    them.
     """
 
     r: int
@@ -310,19 +320,37 @@ class AcceptInstance:
             raise ValueError("signs must be -1 or +1")
 
 
+def _adopt(cls, r: int, n: int, **arrays: np.ndarray):
+    """An instance of ``cls`` holding freshly drawn int64 arrays that meet
+    its checks by construction: frozen in place, neither copied nor checked."""
+    inst = object.__new__(cls)
+    object.__setattr__(inst, "r", r)
+    object.__setattr__(inst, "n", n)
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(inst, name, arr)
+    return inst
+
+
 def sample_reject_instance(r: int, n: int, rng: np.random.Generator) -> RejectInstance:
+    if r < 1:
+        raise ValueError("need r >= 1")
     big_r = 1 << r
     if n - r < big_r:
         raise ValueError(f"need n >= r + 2^r = {r + big_r}")
-    return RejectInstance(r, n, rng.choice(n - r, size=big_r, replace=False))
+    return _adopt(RejectInstance, r, n,
+                  tau=rng.choice(n - r, size=big_r, replace=False))
 
 
 def sample_accept_instance(r: int, n: int, rng: np.random.Generator) -> AcceptInstance:
+    if r < 1:
+        raise ValueError("need r >= 1")
     half = 1 << (r - 1)
     if n - r < half:
         raise ValueError(f"need n >= r + 2^(r-1) = {r + half}")
     tau = rng.choice(n - r, size=half, replace=False)
-    return AcceptInstance(r, n, tau, 2 * rng.integers(0, 2, size=half) - 1)
+    return _adopt(AcceptInstance, r, n, tau=tau,
+                  s=2 * rng.integers(0, 2, size=half) - 1)
 
 
 def realize_reject(inst: RejectInstance) -> TruthTable:

@@ -24,6 +24,7 @@ time.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -54,7 +55,7 @@ class Hypothesis:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(int(v) for v in self.vars))
+        object.__setattr__(self, "vars", tuple(operator.index(v) for v in self.vars))
         if any(b <= a for a, b in zip(self.vars, self.vars[1:])):
             raise ValueError("variables must be strictly increasing")
         arr = np.asarray(self.entries)

@@ -207,10 +207,10 @@ def accept_transcript(inst: AcceptInstance, rng: np.random.Generator,
     r = inst.r
     draws = rng.integers(0, 1 << (r - 1), size=2 * m, dtype=np.int64)
     leaf, base = draws[:m], draws[m:]
-    want_odd = (inst.s[leaf] < 0).astype(np.int64)
-    base_parity = (np.bitwise_count(base.astype(np.uint64)).astype(np.int64)) & 1
-    top = base_parity ^ want_odd
-    x = base | (top << (r - 1))
+    # The top address bit makes the mask's size parity odd exactly when
+    # s[leaf] = -1; base is non-negative, so bitwise_count counts its bits.
+    odd = np.bitwise_count(base) ^ (inst.s[leaf] < 0)
+    x = base | (odd & 1).astype(np.int64) << (r - 1)
     return inst.tau[leaf], x
 
 

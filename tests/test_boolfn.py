@@ -116,6 +116,11 @@ class TestParity:
         assert mask_from_vars(()) == 0
         assert vars_from_mask(0) == ()
 
+    def test_mask_from_vars_takes_integers_only(self):
+        assert mask_from_vars(np.array([1, 70], dtype=np.int64)) == (1 << 1) | (1 << 70)
+        with pytest.raises(TypeError):  # would truncate to bit 1
+            mask_from_vars([1.9])
+
     @pytest.mark.parametrize("bits", [(), (0,), (62,), (63,), (64,), (1023,),
                                       (0, 62, 63, 64, 1023), (5, 700, 701)])
     def test_vars_from_mask_walks_the_set_bits(self, bits):
@@ -162,6 +167,13 @@ class TestJunta:
         for relevant in [(-1, 2), (2, 6), (3, 2), (1, 2, 3)]:
             with pytest.raises(ValueError):
                 JuntaSpec(6, relevant, inner)
+
+    def test_spec_indices_must_be_integers(self):
+        inner = make_parity(2, 0b11)
+        spec = JuntaSpec(6, np.array([1, 4]), inner)
+        assert spec.relevant == (1, 4) and all(type(v) is int for v in spec.relevant)
+        with pytest.raises(TypeError):  # would truncate to (0, 2)
+            JuntaSpec(6, (0.9, 2.5), inner)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.integers(5, 8))
@@ -313,6 +325,34 @@ class TestArrayInstances:
         assert np.array_equal(acc.tau, rng2.choice(n - r, size=half, replace=False))
         assert np.array_equal(acc.s, 2 * rng2.integers(0, 2, size=half) - 1)
         assert rng.bit_generator.state == rng2.bit_generator.state
+
+    @pytest.mark.parametrize("r", range(1, 11))
+    def test_sampled_instances_pass_the_public_checks(self, r):
+        # The samplers skip the constructors' checks; what they build must
+        # still be frozen int64 arrays that the constructors accept as they are.
+        for seed in range(10):
+            for n in sorted({r + 2**r, max(r + 2**r, 1024)}):
+                rej = sample_reject_instance(r, n, np.random.default_rng(seed))
+                checked = RejectInstance(r, n, rej.tau)
+                self._assert_frozen_int64(rej.tau, checked.tau)
+            for n in sorted({r + 2**(r - 1), 1024}):
+                acc = sample_accept_instance(r, n, np.random.default_rng(seed))
+                checked = AcceptInstance(r, n, acc.tau, acc.s)
+                self._assert_frozen_int64(acc.tau, checked.tau)
+                self._assert_frozen_int64(acc.s, checked.s)
+
+    @staticmethod
+    def _assert_frozen_int64(arr, checked):
+        assert arr.dtype == np.int64
+        assert arr.flags.writeable is False
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+        assert np.array_equal(arr, checked)
+
+    @pytest.mark.parametrize("sample", [sample_reject_instance, sample_accept_instance])
+    def test_samplers_refuse_r_below_one(self, sample):
+        with pytest.raises(ValueError):
+            sample(0, 6, np.random.default_rng(0))
 
 
 class TestAddressingReference:

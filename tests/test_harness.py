@@ -331,6 +331,12 @@ PINNED = {
                      ("9e72f05919d2601f", "a2fc32ea3108e180")),
     "lb-tv": (dict(kind="lb-tv", r=4, n=30, num_draws=12, trials=60),
               ("0c2dc2c55e19fb61", "1ebbefa2ec2c4a18")),
+    # one leaf pair, whose accept base is always 0, at the smallest n
+    "lb-collision-r1": (dict(kind="lb-collision", r=1, n=3, num_draws=5, trials=30),
+                        ("7c0f6841a58b9edf", "a6a5540b5c892517")),
+    # the benchmark's lower-bound instance size
+    "lb-tv-r9": (dict(kind="lb-tv", r=9, n=1024, num_draws=3, trials=20),
+                 ("3f53bda3331623e8", "de47786abeefde5c")),
     "scenario": (dict(kind="scenario", k=6, n=10, trials=15),
                  ("be5cd3af9d95b3a9", "687f81da5ba87784")),
     "fs-dist-and2": (dict(kind="fs-dist", target="and2", num_draws=2000),

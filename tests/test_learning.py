@@ -406,5 +406,8 @@ class TestHypothesis:
             Hypothesis((0,), np.array([255, 257]))
         with pytest.raises(ValueError):
             Hypothesis((0,), np.array([1], dtype=np.int8))
+        with pytest.raises(TypeError):  # would truncate to vars (0,)
+            Hypothesis((0.7,), np.array([1, -1]))
+        assert Hypothesis(np.array([2]), np.array([1, -1])).vars == (2,)
         with pytest.raises(ValueError):
             hypothesis_error(AND2, Hypothesis((5,), np.array([1, 1], dtype=np.int8)))
