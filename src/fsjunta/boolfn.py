@@ -320,15 +320,19 @@ class AcceptInstance:
             raise ValueError("signs must be -1 or +1")
 
 
-def _adopt(cls, r: int, n: int, **arrays: np.ndarray):
-    """An instance of ``cls`` holding freshly drawn int64 arrays that meet
-    its checks by construction: frozen in place, neither copied nor checked."""
+def _adopt(cls, r: int, n: int, tau: np.ndarray, s: np.ndarray | None = None):
+    """A ``RejectInstance``, or an ``AcceptInstance`` when ``s`` is given,
+    holding freshly drawn int64 arrays that meet its checks by construction:
+    frozen in place, neither copied nor checked. It skips ``__init__``, so a
+    field added to either class must be set here too."""
     inst = object.__new__(cls)
     object.__setattr__(inst, "r", r)
     object.__setattr__(inst, "n", n)
-    for name, arr in arrays.items():
-        arr.setflags(write=False)
-        object.__setattr__(inst, name, arr)
+    tau.setflags(write=False)
+    object.__setattr__(inst, "tau", tau)
+    if s is not None:
+        s.setflags(write=False)
+        object.__setattr__(inst, "s", s)
     return inst
 
 
@@ -339,7 +343,7 @@ def sample_reject_instance(r: int, n: int, rng: np.random.Generator) -> RejectIn
     if n - r < big_r:
         raise ValueError(f"need n >= r + 2^r = {r + big_r}")
     return _adopt(RejectInstance, r, n,
-                  tau=rng.choice(n - r, size=big_r, replace=False))
+                  rng.choice(n - r, size=big_r, replace=False))
 
 
 def sample_accept_instance(r: int, n: int, rng: np.random.Generator) -> AcceptInstance:
@@ -349,8 +353,8 @@ def sample_accept_instance(r: int, n: int, rng: np.random.Generator) -> AcceptIn
     if n - r < half:
         raise ValueError(f"need n >= r + 2^(r-1) = {r + half}")
     tau = rng.choice(n - r, size=half, replace=False)
-    return _adopt(AcceptInstance, r, n, tau=tau,
-                  s=2 * rng.integers(0, 2, size=half) - 1)
+    return _adopt(AcceptInstance, r, n, tau,
+                  2 * rng.integers(0, 2, size=half) - 1)
 
 
 def realize_reject(inst: RejectInstance) -> TruthTable:

@@ -329,15 +329,18 @@ class TestArrayInstances:
     @pytest.mark.parametrize("r", range(1, 11))
     def test_sampled_instances_pass_the_public_checks(self, r):
         # The samplers skip the constructors' checks; what they build must
-        # still be frozen int64 arrays that the constructors accept as they are.
+        # still be frozen int64 arrays that the constructors accept as they
+        # are, with every dataclass field set.
         for seed in range(10):
             for n in sorted({r + 2**r, max(r + 2**r, 1024)}):
                 rej = sample_reject_instance(r, n, np.random.default_rng(seed))
                 checked = RejectInstance(r, n, rej.tau)
+                assert vars(rej).keys() == vars(checked).keys()
                 self._assert_frozen_int64(rej.tau, checked.tau)
             for n in sorted({r + 2**(r - 1), 1024}):
                 acc = sample_accept_instance(r, n, np.random.default_rng(seed))
                 checked = AcceptInstance(r, n, acc.tau, acc.s)
+                assert vars(acc).keys() == vars(checked).keys()
                 self._assert_frozen_int64(acc.tau, checked.tau)
                 self._assert_frozen_int64(acc.s, checked.s)
 
