@@ -56,11 +56,9 @@ from .stats import chernoff_halfwidth, chernoff_trials, chi_square_gof
 from .testing import (
     ScenarioFunction,
     TesterVerdict,
-    collision_distinguisher,
     junta_test,
     sample_scenario,
     scenario_distinguisher,
-    transcript_tv_estimate,
 )
 
 __version__ = "0.1.0"

@@ -35,8 +35,8 @@ from .boolfn import (N_MAX, JuntaSpec, TruthTable, make_parity, mask_from_vars,
 from ._kernels import decimal_cells
 from .fourier import wht
 from .learning import hypothesis_error, learn_junta, stage_one_draws
-from .oracles import (EX_N_MAX, ExOracle, FsOracle, derive_seed, fresh_accept_source,
-                      fresh_reject_source, make_rng)
+from .oracles import (EX_N_MAX, ExOracle, FsOracle, accept_transcript, derive_seed,
+                      make_rng, reject_transcript)
 from .stats import chernoff_halfwidth, chi_square_gof
 from .testing import (ACCEPT, REJECT, SCENARIO_I, SCENARIO_II, collision_features,
                       collision_guess, histogram_tv, junta_test, junta_test_draws,
@@ -190,6 +190,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     for name in ("c", "max_seconds"):
         if getattr(cfg, name) is not None and not math.isfinite(getattr(cfg, name)):
             raise ConfigError(f"{name} must be finite")
+    if cfg.max_seconds is not None and cfg.max_seconds < 0:
+        raise ConfigError("max_seconds must be non-negative")
     for name in ("k", "n", "r", "num_draws", "max_ex"):
         if getattr(cfg, name) is not None and getattr(cfg, name) < 0:
             raise ConfigError(f"{name} must be non-negative")
@@ -345,12 +347,14 @@ def _learn_junta_summary(cfg: ExperimentConfig, rows: list[dict]) -> dict:
     }
 
 
-_SOURCES = {ACCEPT: fresh_accept_source, REJECT: fresh_reject_source}
-
-
 def _collision_trial(cfg: ExperimentConfig, rng: np.random.Generator, source: str) -> dict:
     """One transcript from a fresh instance of ``source``, as its features."""
-    transcript = _SOURCES[source](cfg.r, cfg.n)(rng, cfg.num_draws)
+    if source == ACCEPT:
+        inst = sample_accept_instance(cfg.r, cfg.n, rng)
+        transcript = accept_transcript(inst, rng, cfg.num_draws)
+    else:
+        inst = sample_reject_instance(cfg.r, cfg.n, rng)
+        transcript = reject_transcript(inst, rng, cfg.num_draws)
     collisions, inconsistent = collision_features(*transcript)
     return {"source": source, "collisions": collisions,
             "inconsistent": int(inconsistent)}

@@ -68,6 +68,8 @@ class Hypothesis:
         object.__setattr__(self, "entries", arr)
 
     def eval_index(self, x: int) -> int:
+        if x < 0:
+            raise ValueError(f"input index {x} must be non-negative")
         cell = int(self.entries[project_assignments(x, self.vars)])
         return -1 if cell == UNSEEN else cell
 

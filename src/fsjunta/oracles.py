@@ -49,8 +49,6 @@ from .boolfn import (
     TruthTable,
     as_junta,
     project_assignments,
-    sample_accept_instance,
-    sample_reject_instance,
     union_mask,
     vars_from_mask,
 )
@@ -219,28 +217,6 @@ def masks_from_transcript(slots: np.ndarray, x_masks: np.ndarray, r: int,
     """Assemble full subset masks: address bits plus the wired variable."""
     dtype = mask_dtype(n)
     return x_masks.astype(dtype) | np.left_shift(1, (r + slots).astype(dtype))
-
-
-TranscriptSource = Callable[[np.random.Generator, int],
-                            tuple[np.ndarray, np.ndarray]]
-
-
-def fresh_reject_source(r: int, n: int) -> TranscriptSource:
-    """Transcript sampler that draws a fresh reject instance per call."""
-
-    def draw(rng: np.random.Generator, m: int):
-        return reject_transcript(sample_reject_instance(r, n, rng), rng, m)
-
-    return draw
-
-
-def fresh_accept_source(r: int, n: int) -> TranscriptSource:
-    """Transcript sampler that draws a fresh accept instance per call."""
-
-    def draw(rng: np.random.Generator, m: int):
-        return accept_transcript(sample_accept_instance(r, n, rng), rng, m)
-
-    return draw
 
 
 def format_transcript(masks) -> str:

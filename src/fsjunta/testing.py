@@ -1,11 +1,12 @@
-"""The spectral-sampling junta tester and two transcript distinguishers.
+"""The spectral-sampling junta tester, the scenario rule and the collision
+primitives.
 
 ``junta_test`` is the non-adaptive tester: a fixed number of subset draws,
-then accept iff at most k distinct variables ever appeared. The remaining
-functions probe how hard the instance families of :mod:`fsjunta.boolfn`
-are to tell apart from subset transcripts alone: a union-size rule for the
-two random-function scenarios, and a collision-parity rule for the
-accept/reject addressing families.
+then accept iff at most k distinct variables ever appeared. The rest probes
+how hard the instance families of :mod:`fsjunta.boolfn` are to tell apart
+from subset transcripts alone: a union-size rule for the two random-function
+scenarios, and for the accept/reject addressing families the collision
+features, the collision-parity rule on them and a histogram TV.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boolfn import JuntaSpec, TruthTable, make_junta, random_table
-from .oracles import FsOracle, TranscriptSource
+from .oracles import FsOracle
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -126,52 +127,18 @@ def collision_features(slots: np.ndarray, x_masks: np.ndarray) -> tuple[int, boo
     return len(slots) - distinct, len(set(zip(slots, parities))) > distinct
 
 
-def collision_distinguisher(source: TranscriptSource, num_draws: int,
-                            rng: np.random.Generator) -> str:
-    """Guess accept/reject from one transcript of ``num_draws`` draws.
-
-    Rejects iff some wired slot repeats with both address parities; in
-    every other case (consistent collisions, or none at all) it accepts.
-    Under an accept source the reject condition has probability exactly
-    zero, so all the distinguishing power rides on reject-side collisions.
-    """
-    slots, x_masks = source(rng, num_draws)
-    _, inconsistent = collision_features(slots, x_masks)
-    return collision_guess(inconsistent)
-
-
 def collision_guess(inconsistent: bool) -> str:
     """The collision rule on a transcript's inconsistent-parity flag (see
-    :func:`collision_features`): reject iff it is set, else accept."""
+    :func:`collision_features`): reject iff it is set, else accept. The
+    flag is never set under an accept instance, so the rule's power rides
+    on reject-side collisions."""
     return REJECT if inconsistent else ACCEPT
-
-
-def transcript_tv_estimate(source_a: TranscriptSource,
-                           source_b: TranscriptSource, num_draws: int,
-                           trials: int, rng: np.random.Generator) -> float:
-    """Plug-in estimate of the total-variation distance between the two
-    sources' collision-feature distributions on length-``num_draws``
-    transcripts.
-
-    Reduces each transcript to its collision features and returns the
-    total-variation distance between the two empirical feature histograms.
-    TV is convex, so this plug-in estimate is biased upward: it is not a
-    lower bound. What it estimates, the feature-level TV, is at most the
-    transcript-level TV, since a statistic of the transcript only loses
-    distinguishing power.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    hist_a: Counter = Counter()
-    hist_b: Counter = Counter()
-    for _ in range(trials):
-        hist_a[collision_features(*source_a(rng, num_draws))] += 1
-        hist_b[collision_features(*source_b(rng, num_draws))] += 1
-    return histogram_tv(hist_a, hist_b, trials)
 
 
 def histogram_tv(hist_a: Counter, hist_b: Counter, trials: int) -> float:
     """Total-variation distance between two empirical histograms, each
-    counting ``trials`` observations."""
+    counting ``trials`` observations. On collision-feature histograms it
+    is a plug-in estimate, biased upward since TV is convex, of the feature
+    TV, which is itself at most the transcript TV."""
     keys = hist_a.keys() | hist_b.keys()
     return 0.5 * sum(abs(hist_a[z] - hist_b[z]) for z in keys) / trials

@@ -6,6 +6,7 @@ here, not configurable.
 """
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -39,9 +40,9 @@ from fsjunta import (
     wht,
 )
 from fsjunta.learning import SUCCESS, default_example_cap, stage_one_draws
-from fsjunta.oracles import fresh_accept_source, fresh_reject_source
-from fsjunta.testing import ACCEPT, REJECT, SCENARIO_I, SCENARIO_II, collision_features
-from fsjunta.testing import scenario_oracle
+from fsjunta.oracles import accept_transcript, reject_transcript
+from fsjunta.testing import (ACCEPT, REJECT, SCENARIO_I, SCENARIO_II, collision_features,
+                             collision_guess, histogram_tv, scenario_oracle)
 
 P_FLOOR = 1e-3
 
@@ -239,23 +240,20 @@ def test_criterion_08_indistinguishable_at_small_length():
     limit, t0 = 60, time.perf_counter()
     r, n, num_draws, trials = 9, 1024, 3, 10_000
     rng = make_rng(108, "tv-small")
-    accept_source = fresh_accept_source(r, n)
-    reject_source = fresh_reject_source(r, n)
 
     # hard-zero side condition: accept transcripts can never show a slot
     # with both size parities
     inconsistent_accepts = 0
-    hist = {ACCEPT: {}, REJECT: {}}
+    hist = {ACCEPT: Counter(), REJECT: Counter()}
     for _ in range(trials):
-        fa = collision_features(*accept_source(rng, num_draws))
-        fb = collision_features(*reject_source(rng, num_draws))
+        fa = collision_features(*accept_transcript(
+            sample_accept_instance(r, n, rng), rng, num_draws))
+        fb = collision_features(*reject_transcript(
+            sample_reject_instance(r, n, rng), rng, num_draws))
         inconsistent_accepts += fa[1]
-        hist[ACCEPT][fa] = hist[ACCEPT].get(fa, 0) + 1
-        hist[REJECT][fb] = hist[REJECT].get(fb, 0) + 1
-    keys = set(hist[ACCEPT]) | set(hist[REJECT])
-    estimate = 0.5 * sum(
-        abs(hist[ACCEPT].get(z, 0) - hist[REJECT].get(z, 0))
-        for z in keys) / trials
+        hist[ACCEPT][fa] += 1
+        hist[REJECT][fb] += 1
+    estimate = histogram_tv(hist[ACCEPT], hist[REJECT], trials)
 
     elapsed = time.perf_counter() - t0
     ok = estimate <= 0.1 and inconsistent_accepts == 0 and elapsed < limit
@@ -268,15 +266,15 @@ def test_criterion_09_collision_distinguisher_at_large_length():
     limit, t0 = 30, time.perf_counter()
     r, n, num_draws, trials = 7, 200, 60, 500
     rng = make_rng(109, "collision")
-    accept_source = fresh_accept_source(r, n)
-    reject_source = fresh_reject_source(r, n)
     correct = 0
     for _ in range(trials):
-        _, inconsistent = collision_features(*accept_source(rng, num_draws))
-        correct += not inconsistent  # accept source: guess accept
+        _, inconsistent = collision_features(*accept_transcript(
+            sample_accept_instance(r, n, rng), rng, num_draws))
+        correct += collision_guess(inconsistent) == ACCEPT
     for _ in range(trials):
-        _, inconsistent = collision_features(*reject_source(rng, num_draws))
-        correct += bool(inconsistent)  # reject source: guess reject
+        _, inconsistent = collision_features(*reject_transcript(
+            sample_reject_instance(r, n, rng), rng, num_draws))
+        correct += collision_guess(inconsistent) == REJECT
     rate = correct / (2 * trials)
     elapsed = time.perf_counter() - t0
     ok = rate >= 2 / 3 and elapsed < limit

@@ -1,5 +1,7 @@
 import csv
 import hashlib
+import importlib
+import importlib.util
 import math
 import os
 import shlex
@@ -532,6 +534,8 @@ class TestCli:
         "scenario --k 3 --c nan",
         "scenario --k 3 --c inf",
         "test-junta --k 2 --n 6 --max-seconds nan",
+        # a negative budget once ran no trial and exited 3
+        "test-junta --k 2 --n 6 --max-seconds -5",
         # n past int64 once reached rng.choice and exited 1
         "test-junta --target parity --k 3 --n 100000000000000000000",
         "test-junta --target junta --k 3 --n 100000000000000000000",
@@ -625,6 +629,47 @@ class TestCli:
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                              text=True, check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "False"
+
+
+def _tracer_targets():
+    path = Path(__file__).resolve().parents[1] / "e2ebench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("e2ebench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TARGETS
+
+
+class TestTracerTargets:
+    """The benchmark's tracer rebinds library callables by name; a renamed or
+    moved one should fail here, not only in a traced benchmark run."""
+
+    @pytest.mark.parametrize("module_name, attr",
+                             [target[:2] for target in _tracer_targets()],
+                             ids=lambda value: value)
+    def test_each_target_resolves(self, module_name, attr):
+        owner = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            assert method in getattr(owner, cls_name).__dict__
+        else:
+            assert callable(getattr(owner, attr))
+
+    def test_lower_bound_trials_call_the_harness_globals(self, monkeypatch, tmp_path):
+        # an import-time dispatch table would hold the originals and
+        # bypass these spies, as it would bypass the tracer's wrappers
+        import fsjunta.harness as harness
+        calls = {}
+        for name in ("sample_accept_instance", "sample_reject_instance",
+                     "accept_transcript", "reject_transcript", "collision_features"):
+            def spy(*args, _name=name, _original=getattr(harness, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args)
+            monkeypatch.setattr(harness, name, spy)
+        run_experiment(ExperimentConfig("lb-tv", trials=3, r=2, n=8, num_draws=3,
+                                        out=str(tmp_path / "t.csv")))
+        assert calls == {"sample_accept_instance": 3, "sample_reject_instance": 3,
+                         "accept_transcript": 3, "reject_transcript": 3,
+                         "collision_features": 6}
 
 
 def _readme_commands() -> list[str]:

@@ -386,6 +386,12 @@ class TestHypothesis:
         assert h.eval_index(0b00) == -1
         assert h.eval_index(0b10) == 1
 
+    def test_eval_index_refuses_a_negative_index(self):
+        # -1 once read the all-ones cell
+        h = Hypothesis((0, 2), np.array([1, -1, 1, -1], dtype=np.int8))
+        with pytest.raises(ValueError):
+            h.eval_index(-1)
+
     def test_text_round_trip(self):
         h = Hypothesis((0, 3), np.array([1, UNSEEN, -1, 1], dtype=np.int8))
         assert h.to_text() == "A=0,3\n+?-+\n"

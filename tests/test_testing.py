@@ -7,7 +7,6 @@ import pytest
 from fsjunta import (
     FsOracle,
     chi_square_gof,
-    collision_distinguisher,
     influence_direct,
     influence_spectral,
     junta_test,
@@ -18,25 +17,38 @@ from fsjunta import (
     sample_reject_instance,
     sample_scenario,
     scenario_distinguisher,
-    transcript_tv_estimate,
     wht,
 )
-from fsjunta.oracles import (
-    accept_transcript,
-    fresh_accept_source,
-    fresh_reject_source,
-    reject_transcript,
-)
+from fsjunta.oracles import accept_transcript, reject_transcript
 from fsjunta.testing import (
     ACCEPT,
     REJECT,
     SCENARIO_I,
     SCENARIO_II,
     collision_features,
+    collision_guess,
     histogram_tv,
     scenario_oracle,
 )
 from reference import unique_collision_features
+
+
+def fresh_transcript(source, r, n, rng, m):
+    """m draws from a fresh instance of the ``source`` family: the sampler,
+    then the transcript, on one generator, as the harness draws them."""
+    if source == ACCEPT:
+        return accept_transcript(sample_accept_instance(r, n, rng), rng, m)
+    return reject_transcript(sample_reject_instance(r, n, rng), rng, m)
+
+
+def feature_tv(source_a, source_b, r, n, m, trials, rng):
+    """Plug-in TV of the two families' collision-feature histograms. Each
+    trial draws a transcript of ``source_a``, then one of ``source_b``."""
+    hist_a, hist_b = Counter(), Counter()
+    for _ in range(trials):
+        hist_a[collision_features(*fresh_transcript(source_a, r, n, rng, m))] += 1
+        hist_b[collision_features(*fresh_transcript(source_b, r, n, rng, m))] += 1
+    return histogram_tv(hist_a, hist_b, trials)
 
 
 class TestJuntaTest:
@@ -167,8 +179,8 @@ class TestCollisionFeatures:
         for trial in range(500):
             r = int(rng.integers(1, 6))
             m = 1 if trial % 10 == 0 else int(rng.integers(1, 25))
-            source = (fresh_accept_source if trial % 2 else fresh_reject_source)(r, r + (1 << r))
-            slots, masks = source(rng, m)
+            source = ACCEPT if trial % 2 else REJECT
+            slots, masks = fresh_transcript(source, r, r + (1 << r), rng, m)
             if trial % 7 == 0:
                 slots = np.full(m, slots[0])
             got = collision_features(slots, masks)
@@ -182,22 +194,23 @@ class TestCollisionDistinguisher:
     def test_accept_sources_never_rejected(self):
         # inconsistent parity has probability exactly zero under accept
         rng = make_rng(0, "cda")
-        source = fresh_accept_source(4, 40)
         for trial in range(200):
-            assert collision_distinguisher(source, 30, rng) == ACCEPT
+            slots, masks = fresh_transcript(ACCEPT, 4, 40, rng, 30)
+            assert collision_guess(collision_features(slots, masks)[1]) == ACCEPT
 
     def test_fixed_accept_instance_also_safe(self):
         rng = make_rng(1, "cdf")
         inst = sample_accept_instance(4, 40, rng)
-        source = lambda rng, m: accept_transcript(inst, rng, m)
         for trial in range(100):
-            assert collision_distinguisher(source, 30, rng) == ACCEPT
+            slots, masks = accept_transcript(inst, rng, 30)
+            assert collision_guess(collision_features(slots, masks)[1]) == ACCEPT
 
     def test_reject_sources_caught_once_collisions_are_plentiful(self):
         rng = make_rng(2, "cdr")
-        source = fresh_reject_source(7, 200)
-        hits = sum(collision_distinguisher(source, 60, rng) == REJECT
-                   for _ in range(100))
+        hits = 0
+        for _ in range(100):
+            slots, masks = fresh_transcript(REJECT, 7, 200, rng, 60)
+            hits += collision_guess(collision_features(slots, masks)[1]) == REJECT
         assert hits >= 90
 
     def test_repeated_slot_parity_mismatch_is_a_coin_flip_on_reject(self):
@@ -220,13 +233,12 @@ class TestFreshVariableUniformity:
         # conditioned on a slot being new, the address subset is uniform
         # over all 2^r subsets for either family
         r, n, per_transcript = 3, 16, 8
-        for label, fresh in (("rj", fresh_reject_source(r, n)),
-                             ("ac", fresh_accept_source(r, n))):
+        for label, source in (("rj", REJECT), ("ac", ACCEPT)):
             rng = make_rng(0, f"fresh-{label}")
             counts = np.zeros(1 << r, dtype=np.int64)
             collected = 0
             while collected < 100_000:
-                slots, masks = fresh(rng, per_transcript)
+                slots, masks = fresh_transcript(source, r, n, rng, per_transcript)
                 _, first = np.unique(slots, return_index=True)
                 picked = masks[first]
                 counts += np.bincount(picked, minlength=1 << r)
@@ -238,30 +250,22 @@ class TestFreshVariableUniformity:
 class TestTvEstimate:
     def test_identical_sources_estimate_near_zero(self):
         rng = make_rng(0, "tv0")
-        a = fresh_reject_source(5, 64)
-        b = fresh_reject_source(5, 64)
-        estimate = transcript_tv_estimate(a, b, 10, 4000, rng)
+        estimate = feature_tv(REJECT, REJECT, 5, 64, 10, 4000, rng)
         assert estimate <= 0.05
 
     def test_distinguishable_at_large_transcript_length(self):
         rng = make_rng(1, "tv1")
-        estimate = transcript_tv_estimate(
-            fresh_accept_source(7, 200), fresh_reject_source(7, 200),
-            60, 400, rng)
+        estimate = feature_tv(ACCEPT, REJECT, 7, 200, 60, 400, rng)
         assert estimate >= 1 / 3
 
     def test_nearly_flat_at_tiny_transcript_length(self):
         rng = make_rng(2, "tv2")
-        estimate = transcript_tv_estimate(
-            fresh_accept_source(7, 200), fresh_reject_source(7, 200),
-            3, 2000, rng)
+        estimate = feature_tv(ACCEPT, REJECT, 7, 200, 3, 2000, rng)
         assert estimate <= 0.1
 
     def test_estimate_is_within_the_unit_interval(self):
         rng = make_rng(3, "tv3")
-        estimate = transcript_tv_estimate(
-            fresh_accept_source(3, 16), fresh_reject_source(3, 16),
-            40, 500, rng)
+        estimate = feature_tv(ACCEPT, REJECT, 3, 16, 40, 500, rng)
         assert 0.0 <= estimate <= 1.0
 
     def test_histogram_distance_is_exact(self):
