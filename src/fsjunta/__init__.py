@@ -54,7 +54,6 @@ from .oracles import (
 )
 from .stats import chernoff_halfwidth, chernoff_trials, chi_square_gof
 from .testing import (
-    ScenarioFunction,
     TesterVerdict,
     junta_test,
     sample_scenario,

@@ -35,13 +35,12 @@ from .boolfn import (N_MAX, JuntaSpec, TruthTable, make_parity, mask_from_vars,
 from ._kernels import decimal_cells
 from .fourier import wht
 from .learning import hypothesis_error, learn_junta, stage_one_draws
-from .oracles import (EX_N_MAX, ExOracle, FsOracle, accept_transcript, derive_seed,
-                      make_rng, reject_transcript)
+from .oracles import (DRAWS_MAX, EX_N_MAX, ExOracle, FsOracle, accept_transcript,
+                      derive_seed, make_rng, reject_transcript)
 from .stats import chernoff_halfwidth, chi_square_gof
 from .testing import (ACCEPT, REJECT, SCENARIO_I, SCENARIO_II, collision_features,
                       collision_guess, histogram_tv, junta_test, junta_test_draws,
-                      sample_scenario, scenario_distinguisher, scenario_draws,
-                      scenario_oracle)
+                      sample_scenario, scenario_distinguisher, scenario_draws)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,14 +52,6 @@ EXIT_BUDGET = 3
 #: 2^26 and 9.7 s and 268 MB at 2^28, and ``1 << n`` alone exhausts memory
 #: long before n leaves int64.
 N_AMBIENT_MAX = 1 << 20
-
-#: Largest number of draws one trial (one arm of a trial) may ask for.
-#: Every kind draws its budget as one batch, so memory grows linearly with
-#: it. At 2^24 draws one trial peaks at 0.55 GB (test-junta, learn-junta
-#: stage 1, fs-dist, scenario) or 0.95 GB (lb-tv, lb-collision) and takes
-#: 1-8 s; 2^24 is the largest power of two at which every kind stays under
-#: 1 GB.
-DRAWS_MAX = 1 << 24
 
 COLUMNS = {
     "test-junta": ["trial", "seed", "decision", "correct", "num_exposed",
@@ -195,6 +186,11 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     for name in ("k", "n", "r", "num_draws", "max_ex"):
         if getattr(cfg, name) is not None and getattr(cfg, name) < 0:
             raise ConfigError(f"{name} must be non-negative")
+    if cfg.out is not None:
+        # Checked here, not when writing, so a bad path fails before any trial.
+        out = Path(cfg.out)
+        if out.is_dir() or not next(p for p in out.parents if p.exists()).is_dir():
+            raise ConfigError(f"out {cfg.out!r} must name a file in a directory")
 
     if cfg.kind in _TARGETS:
         if cfg.target is None:
@@ -382,8 +378,7 @@ def _lb_tv_summary(cfg: ExperimentConfig, rows: list[dict]) -> dict:
     for row in rows:
         hist[row["source"]][row["collisions"], row["inconsistent"]] += 1
     return {
-        "tv_lower_bound": histogram_tv(hist[ACCEPT], hist[REJECT],
-                                       max(1, len(rows) // 2)),
+        "tv_lower_bound": histogram_tv(hist[ACCEPT], hist[REJECT], len(rows) // 2),
         "accept_inconsistent_total": sum(
             r["inconsistent"] for r in rows if r["source"] == ACCEPT),
         "primary_metric": "tv_lower_bound",
@@ -391,7 +386,7 @@ def _lb_tv_summary(cfg: ExperimentConfig, rows: list[dict]) -> dict:
 
 
 def _scenario_trial(cfg: ExperimentConfig, rng: np.random.Generator, which: str) -> dict:
-    fs = scenario_oracle(sample_scenario(which, cfg.k, cfg.n, rng), rng)
+    fs = FsOracle.from_junta(sample_scenario(which, cfg.k, cfg.n, rng), rng)
     guess = scenario_distinguisher(fs, cfg.k, cfg.c)
     return {"scenario": which, "guess": guess, "correct": int(guess == which),
             "queries": fs.calls}

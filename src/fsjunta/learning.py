@@ -14,12 +14,12 @@ stops once at least a 1 - eps/3 fraction of assignments have been seen, or
 at the example cap. Assignments never seen evaluate to -1 (True).
 
 Examples are drawn in chunks, the first as large as the coverage target and
-each next one twice the last, and every chunk is projected in one array
-pass. The stage stops at the exact example where coverage is reached or the
-cap is hit, and gives the rest of that chunk back to the oracle
-(``ExOracle.unread``), so the reported example count, the oracle's call
-count and the generator state all equal those of drawing one example at a
-time.
+each next one twice the last but none past ``DRAWS_MAX``, and every chunk is
+projected in one array pass. The stage stops at the exact example where
+coverage is reached or the cap is hit, and gives the rest of that chunk back
+to the oracle (``ExOracle.unread``), so the reported example count, the
+oracle's call count and the generator state all equal those of drawing one
+example at a time.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ import numpy as np
 
 from .boolfn import (N_MAX, JuntaSpec, TruthTable, as_junta, lift,
                      project_assignments)
-from .oracles import ExOracle, FsOracle
+from .oracles import DRAWS_MAX, ExOracle, FsOracle
 
 #: Entry value marking a hypothesis cell that no example ever reached.
 UNSEEN = 0
@@ -149,11 +149,12 @@ def learn_junta(fs: FsOracle, ex: ExOracle, k: int, eps: float,
     was reached before coverage, else ``success``.
 
     Stage 2 draws ``ex.draw_batch`` chunks of needed, 2 needed, 4 needed,
-    ... examples (never past the cap) and finds each cell's first example
-    in a chunk with one ``np.minimum.at``. In the chunk where coverage is
-    reached it keeps the examples up to that one and hands the others back
-    with ``ex.unread``. ``ex_calls``, ``ex.calls`` and the state of the
-    example generator therefore end exactly as with one-at-a-time draws.
+    ... examples, each cut to the cap's remainder and to ``DRAWS_MAX``, and
+    finds each cell's first example in a chunk with one ``np.minimum.at``.
+    In the chunk where coverage is reached it keeps the examples up to that
+    one and hands the others back with ``ex.unread``. ``ex_calls``,
+    ``ex.calls`` and the state of the example generator therefore end
+    exactly as with one-at-a-time draws.
     """
     before = fs.calls
     found = find_influential(fs, k, eps)
@@ -168,7 +169,7 @@ def learn_junta(fs: FsOracle, ex: ExOracle, k: int, eps: float,
     seen = draws = 0
     chunk = needed
     while seen < needed and draws < cap:
-        m = min(chunk, cap - draws)
+        m = min(chunk, cap - draws, DRAWS_MAX)
         xs, ys = ex.draw_batch(m)
         first = np.full(cells, m, dtype=np.int64)
         np.minimum.at(first, project_assignments(xs, found), np.arange(m))

@@ -61,6 +61,15 @@ _MASK64_BITS = 62
 #: Largest ambient n for uniform examples: x is one int64 draw below 2^n.
 EX_N_MAX = 62
 
+#: Largest number of draws one trial (one arm of a trial) may ask for, and
+#: the largest chunk learner stage 2 draws at once. Every kind draws its
+#: budget as one batch, so memory grows linearly with it. At 2^24 draws
+#: one trial peaks at 0.55 GB (test-junta, learn-junta stage 1, fs-dist,
+#: scenario) or 0.95 GB (lb-tv, lb-collision) and takes 1-8 s. A
+#: learn-junta trial at k = 24 holds dense 2^24 tables beside a full
+#: stage-2 chunk and peaks at 1.08 GB.
+DRAWS_MAX = 1 << 24
+
 # Draws a weight sampler's union searches before it checks for saturation.
 _UNION_PREFIX = 64
 

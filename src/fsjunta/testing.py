@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import JuntaSpec, TruthTable, make_junta, random_table
+from .boolfn import JuntaSpec, make_junta, random_table
 from .oracles import FsOracle
 
 ACCEPT = "accept"
@@ -56,41 +56,28 @@ def junta_test(fs: FsOracle, k: int, eps: float) -> TesterVerdict:
     return TesterVerdict(decision, m, exposed)
 
 
-@dataclass(frozen=True)
-class ScenarioFunction:
-    """A function for the two-scenario distinguishing game.
-
-    ``table`` holds the behavior on the first k+1 variables; the ambient
-    function on ``n`` variables ignores everything else, so its subset
-    distribution equals the table's. Scenario I is a uniform random table;
-    scenario II additionally ignores the uniformly chosen variable
-    ``dropped``.
-    """
-
-    which: str
-    table: TruthTable
-    n: int
-    dropped: int | None = None
-
-
 def sample_scenario(which: str, k: int, n: int,
-                    rng: np.random.Generator) -> ScenarioFunction:
+                    rng: np.random.Generator) -> JuntaSpec:
+    """A function on ``n`` variables for the two-scenario game, as a junta
+    on the first k+1 of them.
+
+    Scenario I is a uniform random table on those k+1 variables. Scenario
+    II draws one of them to leave out, then a uniform random table on the
+    other k. It is still stored densely on all k+1, so that the samplers of
+    both scenarios search a (k+1)-variable spectrum and differ only in
+    the weights it holds.
+    """
     if n < k + 1:
         raise ValueError("need n >= k + 1")
     if which == SCENARIO_I:
-        return ScenarioFunction(which, random_table(k + 1, rng), n)
-    if which == SCENARIO_II:
+        table = random_table(k + 1, rng)
+    elif which == SCENARIO_II:
         dropped = int(rng.integers(0, k + 1))
         kept = tuple(i for i in range(k + 1) if i != dropped)
-        inner = make_junta(JuntaSpec(k + 1, kept, random_table(k, rng)))
-        return ScenarioFunction(which, inner, n, dropped)
-    raise ValueError(f"unknown scenario {which!r}")
-
-
-def scenario_oracle(fn: ScenarioFunction, rng: np.random.Generator) -> FsOracle:
-    """Subset sampler for the ambient function of a scenario draw."""
-    relevant = tuple(range(fn.table.n))
-    return FsOracle.from_junta(JuntaSpec(fn.n, relevant, fn.table), rng)
+        table = make_junta(JuntaSpec(k + 1, kept, random_table(k, rng)))
+    else:
+        raise ValueError(f"unknown scenario {which!r}")
+    return JuntaSpec(n, tuple(range(k + 1)), table)
 
 
 def scenario_draws(k: int, c: float) -> int:
@@ -139,6 +126,9 @@ def histogram_tv(hist_a: Counter, hist_b: Counter, trials: int) -> float:
     """Total-variation distance between two empirical histograms, each
     counting ``trials`` observations. On collision-feature histograms it
     is a plug-in estimate, biased upward since TV is convex, of the feature
-    TV, which is itself at most the transcript TV."""
+    TV, which is itself at most the transcript TV. With no trials it is
+    ``nan``, like every rate over no rows."""
+    if trials == 0:
+        return math.nan
     keys = hist_a.keys() | hist_b.keys()
     return 0.5 * sum(abs(hist_a[z] - hist_b[z]) for z in keys) / trials

@@ -42,7 +42,7 @@ from fsjunta import (
 from fsjunta.learning import SUCCESS, default_example_cap, stage_one_draws
 from fsjunta.oracles import accept_transcript, reject_transcript
 from fsjunta.testing import (ACCEPT, REJECT, SCENARIO_I, SCENARIO_II, collision_features,
-                             collision_guess, histogram_tv, scenario_oracle)
+                             collision_guess, histogram_tv)
 
 P_FLOOR = 1e-3
 
@@ -224,8 +224,7 @@ def test_criterion_07_scenario_distinguisher():
     for which in (SCENARIO_I, SCENARIO_II):
         rng = make_rng(107, f"scenario-{which}")
         for _ in range(trials):
-            fn = sample_scenario(which, k, n, rng)
-            fs = scenario_oracle(fn, rng)
+            fs = FsOracle.from_junta(sample_scenario(which, k, n, rng), rng)
             hits[which] += scenario_distinguisher(fs, k, c) == which
     rate_one = hits[SCENARIO_I] / trials
     rate_two = hits[SCENARIO_II] / trials

@@ -24,6 +24,7 @@ from fsjunta.testing import junta_test_draws, scenario_draws
 from fsjunta.harness import (
     COLUMNS,
     DRAWS_MAX,
+    KINDS,
     N_AMBIENT_MAX,
     ConfigError,
     ExperimentConfig,
@@ -453,15 +454,22 @@ class TestCsvWriter:
             assert out_path.read_bytes() == naive_csv(COLUMNS["fs-dist"], form)
 
     def test_zero_rows_give_a_header_only_file(self, tmp_path):
-        result = run_experiment(ExperimentConfig(
-            "test-junta", seed=4, trials=5, k=2, n=8, max_seconds=0.0,
-            out=str(tmp_path / "z.csv")))
-        assert len(result.rows) == 0
-        header = b"trial,seed,decision,correct,num_exposed,queries,wall_ms\r\n"
-        assert result.out_path.read_bytes() == header == naive_csv(
-            COLUMNS["test-junta"], [])
-        summary = read_summary(result.summary_path)
-        assert summary["rows"] == "0" and summary["interval_halfwidth"] == "nan"
+        # every trial kind; lb-tv once reported a TV of 0.0 over no rows
+        params = {"test-junta": dict(k=2, n=8), "learn-junta": dict(k=2, n=8),
+                  "lb-collision": dict(r=2, n=8, num_draws=3),
+                  "lb-tv": dict(r=2, n=8, num_draws=3), "scenario": dict(k=2)}
+        assert sorted(params) == sorted(set(KINDS) - {"fs-dist"})
+        for kind, extra in params.items():
+            result = run_experiment(ExperimentConfig(
+                kind, seed=4, trials=5, max_seconds=0.0,
+                out=str(tmp_path / f"{kind}.csv"), **extra))
+            assert len(result.rows) == 0
+            header = ",".join(COLUMNS[kind]).encode() + b"\r\n"
+            assert result.out_path.read_bytes() == header == naive_csv(
+                COLUMNS[kind], [])
+            summary = read_summary(result.summary_path)
+            assert summary["rows"] == "0" and summary["interval_halfwidth"] == "nan"
+            assert summary[summary["primary_metric"]] == "nan", kind
 
     def test_fs_dist_rows_are_one_record_per_mask(self, tmp_path):
         result = run_experiment(ExperimentConfig(
@@ -565,6 +573,19 @@ class TestCli:
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("out", ["", "dir", "file/x.csv"])
+    def test_bad_out_paths_exit_two(self, tmp_path, capsys, monkeypatch, out):
+        # each once ran every trial, then failed to write and exited 1
+        monkeypatch.chdir(tmp_path)
+        Path("dir").mkdir()
+        Path("file").write_text("")
+        code = cli_main(["test-junta", "--k", "2", "--n", "8", "--trials", "2",
+                         "--out", out])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+        assert not any(Path("dir").iterdir()) and Path("file").read_text() == ""
 
     @pytest.mark.parametrize("argv", [
         "test-junta --target parity --k 3",

@@ -284,6 +284,40 @@ class TestChunkedStageTwo:
             for cap in (0, 1, inside, stop, stop + 1):
                 self.run_both(spec, k, eps, seed, cap)
 
+    def test_no_chunk_goes_past_draws_max(self, monkeypatch):
+        """With ``DRAWS_MAX`` set to 40, every batch stays at or under 40,
+        and the report, the call count and the generator end as uncapped."""
+
+        class SpyEx(ExOracle):
+            def draw_batch(self, m):
+                self.sizes.append(m)
+                return super().draw_batch(m)
+
+        def run(seed):
+            rng = make_rng(seed, "capped")
+            spec = random_junta_spec(20, 5, rng)
+            fs = FsOracle.from_junta(spec, rng)
+            ex = SpyEx(spec, rng)
+            ex.sizes = []
+            report = learn_junta(fs, ex, 5, 0.1)
+            return report, ex.calls, rng.bit_generator.state, ex.sizes
+
+        uncapped = [run(seed) for seed in range(10)]
+        monkeypatch.setattr("fsjunta.learning.DRAWS_MAX", 40)
+        capped = [run(seed) for seed in range(10)]
+        assert max(max(sizes) for *_, sizes in uncapped) > 40
+        for (report, calls, state, _), (report2, calls2, state2, sizes) in zip(
+                uncapped, capped):
+            assert max(sizes) <= 40
+            assert (report2.status, report2.ex_calls, report2.fs_calls,
+                    report2.encountered_fraction) == (
+                report.status, report.ex_calls, report.fs_calls,
+                report.encountered_fraction)
+            assert report2.hypothesis.vars == report.hypothesis.vars
+            assert np.array_equal(report2.hypothesis.entries,
+                                  report.hypothesis.entries)
+            assert (calls2, state2) == (calls, state)
+
 
 class TestCoverageTarget:
     def test_learn_benchmark_config(self):

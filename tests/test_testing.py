@@ -28,7 +28,6 @@ from fsjunta.testing import (
     collision_features,
     collision_guess,
     histogram_tv,
-    scenario_oracle,
 )
 from reference import unique_collision_features
 
@@ -104,23 +103,24 @@ class TestJuntaTest:
 
 class TestScenarios:
     def test_scenario_one_reads_exactly_the_first_k_plus_one(self):
-        fn = sample_scenario(SCENARIO_I, 5, 12, make_rng(0, "s1"))
-        assert fn.table.n == 6
-        assert fn.dropped is None
+        spec = sample_scenario(SCENARIO_I, 5, 12, make_rng(0, "s1"))
+        assert (spec.n, spec.relevant, spec.inner.n) == (12, tuple(range(6)), 6)
+        assert all(influence_direct(spec.inner, i) > 0 for i in range(6))
 
     def test_scenario_two_ignores_its_dropped_variable(self):
         for seed in range(10):
-            fn = sample_scenario(SCENARIO_II, 5, 12, make_rng(seed, "s2"))
-            assert fn.dropped is not None
-            assert influence_direct(fn.table, fn.dropped) == 0
+            spec = sample_scenario(SCENARIO_II, 5, 12, make_rng(seed, "s2"))
+            assert spec.relevant == tuple(range(6))
+            zero = [i for i in range(6) if influence_direct(spec.inner, i) == 0]
+            assert len(zero) == 1
 
     def test_scenario_one_variables_all_carry_heavy_weight(self):
         # for moderately large k a random table gives every variable
         # spectral weight above 1/3 essentially always
         found = 0
         for seed in range(10):
-            fn = sample_scenario(SCENARIO_I, 10, 20, make_rng(seed, "s3"))
-            sp = wht(fn.table)
+            spec = sample_scenario(SCENARIO_I, 10, 20, make_rng(seed, "s3"))
+            sp = wht(spec.inner)
             for i in range(11):
                 found += influence_spectral(sp, i) > 0.334
         assert found == 110
@@ -128,16 +128,14 @@ class TestScenarios:
     def test_distinguisher_never_mistakes_scenario_two(self):
         rng = make_rng(0, "d2")
         for trial in range(40):
-            fn = sample_scenario(SCENARIO_II, 6, 20, rng)
-            fs = scenario_oracle(fn, rng)
+            fs = FsOracle.from_junta(sample_scenario(SCENARIO_II, 6, 20, rng), rng)
             assert scenario_distinguisher(fs, 6) == SCENARIO_II
 
     def test_distinguisher_catches_scenario_one_whp(self):
         rng = make_rng(1, "d1")
         hits = 0
         for trial in range(50):
-            fn = sample_scenario(SCENARIO_I, 8, 20, rng)
-            fs = scenario_oracle(fn, rng)
+            fs = FsOracle.from_junta(sample_scenario(SCENARIO_I, 8, 20, rng), rng)
             hits += scenario_distinguisher(fs, 8) == SCENARIO_I
         assert hits >= 45
 

@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Before/after record of the end-to-end benchmark, as one JSON file.
+
+Runs alternating pairs of ``e2ebench/run.py --workload all --seed S``: one
+run on a parent commit and one on the working tree, the parent first in
+even pairs and second in odd ones. Each side runs from its own temporary
+copy of ``src/``, ``e2ebench/`` and ``BENCHMARK.json`` with
+``PYTHONDONTWRITEBYTECODE=1``: the parent's from ``git archive <ref>``, the
+change's copied from the working tree, so uncommitted edits are measured.
+
+The output holds the command, the host (nproc and the Python, numpy and
+scipy versions), the parent commit, each pair's two last-line JSON reports,
+and per metric both sides' medians and inclusive quartiles
+(``statistics.quantiles(method="inclusive")``) and the number of pairs in
+which the change read lower. Only the standard library is used.
+
+Usage, from the repository root:
+    python3 tools/bench_pairs.py HEAD BENCH_<pr>.json
+    python3 tools/bench_pairs.py HEAD check.json --pairs 2 --seconds 2
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from importlib.metadata import version
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# What e2ebench/run.py reads: the package source, itself and BENCHMARK.json.
+TREE = ("src", "e2ebench", "BENCHMARK.json")
+SIDES = ("parent", "change")
+
+
+def git(*args: str, **kwargs) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-C", str(ROOT), *args], check=True,
+                          capture_output=True, **kwargs)
+
+
+def parent_copy(ref: str, dest: Path) -> None:
+    archive = git("archive", "--format=tar", ref, *TREE).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def change_copy(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".e2ebench_work")
+    for name in TREE:
+        if (ROOT / name).is_dir():
+            shutil.copytree(ROOT / name, dest / name, ignore=skip)
+        else:
+            shutil.copy2(ROOT / name, dest / name)
+
+
+def run_side(copy: Path, args: list[str]) -> dict:
+    """One benchmark run in ``copy``; its last output line, parsed."""
+    proc = subprocess.run([sys.executable, "e2ebench/run.py", *args], cwd=copy,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def summarize(pairs: list[dict]) -> dict:
+    summary = {}
+    for name, metric in pairs[0]["parent"]["metrics"].items():
+        values = {side: [p[side]["metrics"][name]["value"] for p in pairs]
+                  for side in SIDES}
+        entry = {"unit": metric["unit"]}
+        for side in SIDES:
+            quartiles = statistics.quantiles(values[side], n=4, method="inclusive")
+            entry[f"{side}_median"] = statistics.median(values[side])
+            entry[f"{side}_quartiles"] = [quartiles[0], quartiles[2]]
+        entry["change_lower_in_pairs"] = sum(
+            c < p for p, c in zip(values["parent"], values["change"]))
+        summary[name] = entry
+    return summary
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("ref", help="parent commit to compare against")
+    parser.add_argument("out", help="path of the JSON record to write")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seconds", type=float,
+                        help="run.py's --seconds; its own default if unset")
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("quartiles need --pairs >= 2")
+
+    run_args = ["--workload", "all", "--seed", str(args.seed)]
+    if args.seconds is not None:
+        run_args += ["--seconds", str(args.seconds)]
+    commit = git("rev-parse", "--verify", f"{args.ref}^{{commit}}",
+                 text=True).stdout.strip()
+    pairs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        copies = {side: Path(tmp, side) for side in SIDES}
+        for copy in copies.values():
+            copy.mkdir()
+        parent_copy(commit, copies["parent"])
+        change_copy(copies["change"])
+        for i in range(args.pairs):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            pair = {"order": list(order)}
+            for side in order:
+                pair[side] = run_side(copies[side], run_args)
+                print(f"pair {i} {side}: correct={pair[side]['correct']}",
+                      file=sys.stderr)
+            pairs.append(pair)
+
+    record = {
+        "command": " ".join(["python3", "e2ebench/run.py", *run_args]),
+        "host": {"nproc": os.cpu_count(), "python": sys.version.split()[0],
+                 "numpy": version("numpy"), "scipy": version("scipy")},
+        "parent": {"commit": commit},
+        "pairs": pairs,
+        "summary": summarize(pairs),
+    }
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
