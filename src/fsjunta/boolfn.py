@@ -222,18 +222,19 @@ def random_junta_spec(n: int, k: int, rng: np.random.Generator) -> JuntaSpec:
 _DICTATOR = np.array([1, -1], dtype=np.int8)
 
 
-def _addressing_table(r: int, n: int, cells) -> TruthTable:
-    """Table on n variables whose first r form an address; the a-th item of
-    ``cells`` is the ``(2,)*(n-r)`` sub-table over the other variables at
-    address a.
+def _addressing_table(r: int, n: int, slots, signs) -> TruthTable:
+    """Table on n variables whose first r form an address; at address a it
+    is ``signs[a]`` times non-address variable ``slots[a]`` (variable
+    r + slots[a]).
 
     Address variable j is the address bit of weight 2^(r-1-j) and sits on
     axis n-1-j, so axis n-r+q carries bit q of the address.
     """
     _check_n(n)
     vals = np.empty((2,) * n, dtype=np.int8)
-    for a, cell in enumerate(cells):
-        vals[(...,) + tuple((a >> q) & 1 for q in range(r))] = cell
+    for a, (slot, sign) in enumerate(zip(slots, signs)):
+        vals[(...,) + tuple((a >> q) & 1 for q in range(r))] = lift(
+            sign * _DICTATOR, [slot], n - r)
     return TruthTable(n, vals.reshape(-1))
 
 
@@ -253,8 +254,19 @@ def make_addressing(r: int) -> TruthTable:
     return realize_reject(RejectInstance(r, n, np.arange(big_r)))
 
 
+def _refuse_non_integers(arr: np.ndarray) -> None:
+    """Raise ``TypeError`` for float, complex or bool input, which a cast
+    to int64 would truncate or reinterpret without a word. An empty
+    sequence, whose dtype numpy guesses as float64, is left to the shape
+    checks."""
+    if arr.size and arr.dtype.kind in "fcb":
+        raise TypeError(f"expected integers, got an array of dtype {arr.dtype}")
+
+
 def _frozen_int64(values) -> np.ndarray:
-    arr = np.array(values, dtype=np.int64)
+    arr = np.asarray(values)
+    _refuse_non_integers(arr)
+    arr = arr.astype(np.int64)
     arr.setflags(write=False)
     return arr
 
@@ -359,9 +371,8 @@ def sample_accept_instance(r: int, n: int, rng: np.random.Generator) -> AcceptIn
 
 def realize_reject(inst: RejectInstance) -> TruthTable:
     """Full truth table of a reject instance (variable r+j carries slot j)."""
-    m = inst.n - inst.r
-    return _addressing_table(inst.r, inst.n,
-                             (lift(_DICTATOR, [t], m) for t in inst.tau))
+    return _addressing_table(inst.r, inst.n, inst.tau,
+                             np.ones(1 << inst.r, dtype=np.int64))
 
 
 def realize_accept(inst: AcceptInstance) -> TruthTable:
@@ -369,11 +380,9 @@ def realize_accept(inst: AcceptInstance) -> TruthTable:
     ``s[i]`` times the variable wired to leaf i."""
     half = 1 << (inst.r - 1)
     # Leaf a < half is pair a with sign +1; leaf 2^r-1-i is pair i with s[i].
-    taus = np.concatenate([inst.tau, inst.tau[::-1]])
-    signs = np.concatenate([np.ones(half, dtype=np.int64), inst.s[::-1]])
-    m = inst.n - inst.r
-    cells = (lift(sign * _DICTATOR, [t], m) for sign, t in zip(signs, taus))
-    return _addressing_table(inst.r, inst.n, cells)
+    return _addressing_table(
+        inst.r, inst.n, np.concatenate([inst.tau, inst.tau[::-1]]),
+        np.concatenate([np.ones(half, dtype=np.int64), inst.s[::-1]]))
 
 
 def distance(f: TruthTable, g: TruthTable) -> Fraction:

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .boolfn import TruthTable, _check_n
+from .boolfn import TruthTable, _check_n, _refuse_non_integers
 
 # Chunk length for exact int64 sums of squares: 2^14 terms of at most 2^48
 # each stay below 2^62, so no chunk can overflow before it is folded into
@@ -37,6 +37,7 @@ class Spectrum:
         if arr.shape != (1 << self.n,):
             raise ValueError(
                 f"spectrum for n={self.n} needs {1 << self.n} coefficients")
+        _refuse_non_integers(arr)
         arr = arr.astype(np.int64, copy=True)
         bound = 1 << self.n
         if arr.max() > bound or arr.min() < -bound:

@@ -191,6 +191,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         out = Path(cfg.out)
         if out.is_dir() or not next(p for p in out.parents if p.exists()).is_dir():
             raise ConfigError(f"out {cfg.out!r} must name a file in a directory")
+        if out.with_name(out.name + ".summary").is_dir():
+            raise ConfigError(f"the summary sidecar '{cfg.out}.summary' is a directory")
 
     if cfg.kind in _TARGETS:
         if cfg.target is None:
@@ -505,19 +507,14 @@ def _cells(column) -> np.ndarray:
     """One CSV column as a ``(width, N)`` uint8 matrix of cell bytes, each
     cell padded with NUL bytes.
 
-    Non-negative integers that fit in 64 bits are encoded by
-    :func:`decimal_cells`. Every other value (a string, a float, a bool, a
-    negative or wider int) is ``str(value)`` packed in an ``S`` array, which
-    pads it with NUL bytes. A list of ints is never read as floats."""
+    An integer array of non-negative values (fs-dist's columns) is encoded
+    by :func:`decimal_cells`. Every other column, a trial row's list of
+    values included, is ``str(value)`` per cell, packed in an ``S`` array,
+    which pads it with NUL bytes."""
     if isinstance(column, np.ndarray):
         if column.dtype.kind in "iu" and column.min() >= 0:
             return decimal_cells(column)
         column = column.tolist()
-    elif all(type(value) is int for value in column):
-        try:
-            return decimal_cells(np.array(column, dtype=np.uint64))
-        except OverflowError:  # a negative int, or one wider than 64 bits
-            pass
     text = np.array([str(value).encode() for value in column], dtype=bytes)
     return text.view(np.uint8).reshape(len(column), -1).T
 

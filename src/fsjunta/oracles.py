@@ -52,7 +52,7 @@ from .boolfn import (
     union_mask,
     vars_from_mask,
 )
-from .fourier import Spectrum, wht
+from .fourier import Spectrum, parseval_check, wht
 
 # Masks over at most this many variables are batched as int64; wider ones
 # as an object array of Python ints.
@@ -315,16 +315,13 @@ class FsOracle:
         ``coeffs[S]^2 / 4^sp.n``, as an int64 mask over ``sp.n`` bits. Bit t
         of a mask is variable ``relevant[t]`` of the n; ``relevant=None``
         means bit t is variable t."""
-        weights = sp.coeffs ** 2
-        masks = np.flatnonzero(weights)
-        if masks.size == 0:
-            raise FsOracleError("the spectrum has no nonzero coefficient")
-        cum = np.cumsum(weights[masks])
+        if not parseval_check(sp):
+            raise FsOracleError("squared weights do not sum to 4^n; "
+                                "not a valid sampling distribution")
+        # The exact check bounds every prefix sum by 4^n, so none wraps.
+        masks = np.flatnonzero(sp.coeffs)
+        cum = np.cumsum(sp.coeffs[masks] ** 2)
         total = 1 << (2 * sp.n)
-        if int(cum[-1]) != total:
-            raise FsOracleError(
-                f"squared weights sum to {int(cum[-1])}, expected {total}; "
-                "not a valid sampling distribution")
 
         def sample_batch(m: int):
             u = rng.integers(0, total, size=m, dtype=np.int64)

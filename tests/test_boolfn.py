@@ -278,7 +278,10 @@ class TestArrayInstances:
             assert a == a
             assert len({a, b}) == 2
 
-    @pytest.mark.parametrize("kind", [tuple, list, np.array])
+    @pytest.mark.parametrize("kind", [
+        tuple, list, np.array,
+        lambda v: np.array(v, dtype=np.int32), lambda v: np.array(v, dtype=np.int8),
+    ], ids=["tuple", "list", "array", "int32", "int8"])
     def test_tuple_list_and_array_inputs_give_equal_arrays(self, kind):
         rej = RejectInstance(2, 6, kind([3, 0, 2, 1]))
         acc = AcceptInstance(2, 6, kind([1, 3]), kind([1, -1]))
@@ -312,6 +315,19 @@ class TestArrayInstances:
     ])
     def test_each_check_raises(self, make):
         with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize("make", [
+        # each was once cast to int64 silently, truncating toward zero
+        lambda: RejectInstance(1, 4, [0.9, 1.7]),
+        lambda: RejectInstance(2, 6, np.array([3.0, 0.0, 2.0, 1.0])),
+        lambda: RejectInstance(1, 4, [True, False]),
+        lambda: AcceptInstance(2, 6, (1.0, 3.0), (1, -1)),
+        lambda: AcceptInstance(2, 6, (1, 3), (1.0, -1.0)),
+        lambda: AcceptInstance(2, 6, (1, 3), np.array([True, True])),
+    ])
+    def test_float_and_bool_input_is_refused(self, make):
+        with pytest.raises(TypeError):
             make()
 
     @pytest.mark.parametrize("r,n", [(1, 3), (3, 11), (4, 20), (9, 1024)])

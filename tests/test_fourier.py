@@ -121,6 +121,24 @@ class TestSpectrumType:
         with pytest.raises(ValueError):
             Spectrum(1, np.array(coeffs, dtype=np.int64))
 
+    @pytest.mark.parametrize("coeffs", [
+        # each was once cast to int64 silently: [2.7, 0.4] became [2, 0]
+        np.array([2.7, 0.4]),
+        np.array([2.0, 0.0]),
+        [2.0, 0.0],
+        np.array([True, False]),
+    ])
+    def test_rejects_float_and_bool_coefficients(self, coeffs):
+        with pytest.raises(TypeError):
+            Spectrum(1, coeffs)
+
+    @pytest.mark.parametrize("coeffs", [[2, 0], (2, 0),
+                                        np.array([2, 0], dtype=np.int32),
+                                        np.array([2, 0], dtype=np.uint8)])
+    def test_accepts_integer_lists_tuples_and_arrays(self, coeffs):
+        sp = Spectrum(1, coeffs)
+        assert sp.coeffs.dtype == np.int64 and sp.coeffs.tolist() == [2, 0]
+
     def test_accepts_magnitude_exactly_two_to_the_n(self):
         sp = Spectrum(2, np.array([4, -4, 0, -2], dtype=np.int64))
         assert sp.coeffs.tolist() == [4, -4, 0, -2]

@@ -587,6 +587,18 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
         assert not any(Path("dir").iterdir()) and Path("file").read_text() == ""
 
+    def test_summary_path_that_is_a_directory_exits_two(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # once ran every trial and wrote x.csv, then exited 1 on the sidecar
+        monkeypatch.chdir(tmp_path)
+        Path("x.csv.summary").mkdir()
+        code = cli_main(["test-junta", "--k", "2", "--n", "8", "--trials", "3",
+                         "--out", "x.csv"])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["x.csv.summary"]
+        assert not any(Path("x.csv.summary").iterdir())
+
     @pytest.mark.parametrize("argv", [
         "test-junta --target parity --k 3",
         "test-junta --target junta --k 3",

@@ -100,6 +100,17 @@ class TestFsFromSpectrum:
             FsOracle.from_spectrum(Spectrum(2, np.zeros(4, np.int64)),
                                    make_rng(0, "empty"))
 
+    def test_squares_summing_past_int64_are_rejected(self):
+        # 2^20 + 1 squares of 2^44 sum to 2^64 + 4^22, which an int64 prefix
+        # sum wraps to exactly 4^22; the exact Parseval check refuses it.
+        n = 22
+        coeffs = np.zeros(1 << n, dtype=np.int64)
+        coeffs[:(1 << 20) + 1] = 1 << n
+        sp = Spectrum(n, coeffs)
+        assert int(np.cumsum(coeffs ** 2)[-1]) == 1 << (2 * n)
+        with pytest.raises(FsOracleError):
+            FsOracle.from_spectrum(sp, make_rng(0, "wrap"))
+
     def test_batches_are_int64_masks(self):
         f = random_table(5, make_rng(0, "dtype"))
         for fs in (FsOracle.from_spectrum(wht(f), make_rng(1, "dtype")),

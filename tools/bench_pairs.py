@@ -12,7 +12,9 @@ The output holds the command, the host (nproc and the Python, numpy and
 scipy versions), the parent commit, each pair's two last-line JSON reports,
 and per metric both sides' medians and inclusive quartiles
 (``statistics.quantiles(method="inclusive")``) and the number of pairs in
-which the change read lower. Only the standard library is used.
+which the change read lower. Only the standard library is used. If any
+run reports ``correct`` false or a failed call, the tool names that pair
+and side, writes nothing and exits 1.
 
 Usage, from the repository root:
     python3 tools/bench_pairs.py HEAD BENCH_<pr>.json
@@ -108,9 +110,14 @@ def main(argv: list[str] | None = None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"order": list(order)}
             for side in order:
-                pair[side] = run_side(copies[side], run_args)
-                print(f"pair {i} {side}: correct={pair[side]['correct']}",
-                      file=sys.stderr)
+                report = pair[side] = run_side(copies[side], run_args)
+                print(f"pair {i} {side}: correct={report['correct']} "
+                      f"failed={report['failed']}", file=sys.stderr)
+                if report["correct"] is not True or report["failed"]:
+                    # A wrong output's timings measure nothing; record none.
+                    print(f"pair {i} {side} gave a wrong output; nothing "
+                          f"written", file=sys.stderr)
+                    return 1
             pairs.append(pair)
 
     record = {
