@@ -254,19 +254,26 @@ def make_addressing(r: int) -> TruthTable:
     return realize_reject(RejectInstance(r, n, np.arange(big_r)))
 
 
-def _refuse_non_integers(arr: np.ndarray) -> None:
-    """Raise ``TypeError`` for float, complex or bool input, which a cast
-    to int64 would truncate or reinterpret without a word. An empty
-    sequence, whose dtype numpy guesses as float64, is left to the shape
-    checks."""
-    if arr.size and arr.dtype.kind in "fcb":
+def _as_integers(values) -> np.ndarray:
+    """``values`` as an array; ``TypeError`` unless every element is an
+    integer, since a cast to int64 would truncate a float and read a bool
+    as 0 or 1 without a word. An integer ndarray passes on its dtype alone. A
+    list or an object array is checked element by element, since numpy
+    promotes a list mixing bools and ints to int64. An empty sequence,
+    whose dtype numpy guesses as float64, is left to the shape checks."""
+    arr = np.asarray(values)
+    if not arr.size or (arr.dtype.kind in "iu" and isinstance(values, np.ndarray)):
+        return arr
+    if arr.dtype.kind not in "iuO":
         raise TypeError(f"expected integers, got an array of dtype {arr.dtype}")
+    for value in np.asarray(values, dtype=object).flat:
+        if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+            raise TypeError(f"expected integers, got {value!r}")
+    return arr
 
 
 def _frozen_int64(values) -> np.ndarray:
-    arr = np.asarray(values)
-    _refuse_non_integers(arr)
-    arr = arr.astype(np.int64)
+    arr = _as_integers(values).astype(np.int64)
     arr.setflags(write=False)
     return arr
 

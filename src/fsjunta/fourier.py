@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .boolfn import TruthTable, _check_n, _refuse_non_integers
+from .boolfn import TruthTable, _as_integers, _check_n
 
 # Chunk length for exact int64 sums of squares: 2^14 terms of at most 2^48
 # each stay below 2^62, so no chunk can overflow before it is folded into
@@ -33,11 +33,10 @@ class Spectrum:
 
     def __post_init__(self):
         _check_n(self.n)
-        arr = np.asarray(self.coeffs)
+        arr = _as_integers(self.coeffs)
         if arr.shape != (1 << self.n,):
             raise ValueError(
                 f"spectrum for n={self.n} needs {1 << self.n} coefficients")
-        _refuse_non_integers(arr)
         arr = arr.astype(np.int64, copy=True)
         bound = 1 << self.n
         if arr.max() > bound or arr.min() < -bound:

@@ -34,6 +34,12 @@ support. So the weight samplers (``from_spectrum``, ``from_table``,
 ``from_junta``) draw all m keys for ``draw_exposed`` but search only until
 the union saturates: a prefix of 64 keys in draw order, then the rest,
 sorted, only if that prefix has not reached the support.
+
+A histogram ignores order too. ``draw_counts``, fs-dist's one call, sorts
+the m keys in place and counts the draws on each support entry as a
+difference of ranks: key u lands on entry j iff cum[j-1] <= u < cum[j],
+so the keys below cum[j] are the draws on entries 0..j. One search of the
+prefix sums among the keys gives every count, with no per-draw mask.
 """
 from __future__ import annotations
 
@@ -251,16 +257,21 @@ class FsOracle:
 
     def __init__(self, n: int, sample_batch: Callable[[int], np.ndarray],
                  relevant: tuple[int, ...] | None = None,
-                 sample_union: Callable[[int], int] | None = None):
+                 sample_union: Callable[[int], int] | None = None,
+                 sample_counts: Callable[[int], tuple] | None = None):
         """``sample_batch(m)`` draws m masks in the sampler's own
         coordinates: bit t is variable ``relevant[t]``, or variable t when
         ``relevant`` is None. ``sample_union(m)`` is the OR of the masks
         that ``sample_batch(m)`` would draw, from the same stream; by
-        default it ORs that batch."""
+        default it ORs that batch. ``sample_counts(m)``, which only the
+        weight samplers have, is ``(support masks, weights, counts)`` of
+        the masks that ``sample_batch(m)`` would draw, from the same
+        stream."""
         self.n = n
         self.calls = 0
         self._sample_batch = sample_batch
         self._sample_union = sample_union or (lambda m: union_mask(sample_batch(m)))
+        self._sample_counts = sample_counts
         self._relevant = relevant
         self._lift_tables = None  # built by the first draw that is lifted
 
@@ -320,6 +331,7 @@ class FsOracle:
                                 "not a valid sampling distribution")
         # The exact check bounds every prefix sum by 4^n, so none wraps.
         masks = np.flatnonzero(sp.coeffs)
+        masks.setflags(write=False)  # draw_counts hands it out as it is
         cum = np.cumsum(sp.coeffs[masks] ** 2)
         total = 1 << (2 * sp.n)
 
@@ -351,7 +363,16 @@ class FsOracle:
                 union |= union_mask(masks[np.searchsorted(cum, rest, side="right")])
             return union
 
-        return cls(n, sample_batch, relevant, sample_union)
+        def sample_counts(m: int):
+            keys = rng.integers(0, total, size=m, dtype=np.int64)
+            keys.sort()
+            # Key u lands on entry j iff cum[j-1] <= u < cum[j], so the keys
+            # below cum[j] are those that land on entries 0..j.
+            below = np.searchsorted(keys, cum, side="left")
+            del keys  # freed before the two differences are built
+            return masks, np.diff(cum, prepend=0), np.diff(below, prepend=0)
+
+        return cls(n, sample_batch, relevant, sample_union, sample_counts)
 
     # -- drawing -----------------------------------------------------------
 
@@ -373,6 +394,28 @@ class FsOracle:
             raise ValueError("batch size must be non-negative")
         self.calls += m
         return self._ambient(self._sample_batch(m))
+
+    def draw_counts(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """m subset draws, counted per mask of the sampler's support.
+
+        Returns ``(masks, weights, counts)``: the support's masks ascending,
+        as ``mask_dtype(n)``; their exact integer weights, the squared
+        coefficients of the sampler's own spectrum, which sum to 4^k over
+        its k bits; and how many of the m draws landed on each, as int64.
+        It draws exactly the keys of ``draw_batch(m)``, from the same
+        generator stream, and counts m calls; ``counts`` equals
+        ``np.bincount(draw_batch(m))`` at the support's masks. The keys are
+        sorted, and each count is a difference of ranks of prefix sums
+        among them, so no per-draw mask is built. Only the weight samplers
+        (``from_spectrum``, ``from_table``, ``from_junta``) count.
+        """
+        if self._sample_counts is None:
+            raise TypeError("only a weight sampler counts its draws")
+        if m < 0:
+            raise ValueError("batch size must be non-negative")
+        self.calls += m
+        masks, weights, counts = self._sample_counts(m)
+        return self._ambient(masks), weights, counts
 
     def draw_exposed(self, m: int) -> tuple[int, ...]:
         """The sorted variables of the union of m subset draws.

@@ -38,22 +38,35 @@ def chi_square_gof(observed: np.ndarray, weights: np.ndarray) -> tuple[float, fl
     computes, bit for bit, without importing all of ``scipy.stats``. scipy
     is imported here, not at module level: it is most of the package's
     import time and memory, and only fs-dist runs this test.
+
+    It works on two float64 copies of its inputs and nothing else as long
+    as them (bar one bool mask): every step of the statistic runs in place,
+    in the order ``scipy.stats.chisquare`` runs it, so the statistic and
+    the p-value are the same bits. The inputs may be any integer arrays,
+    the strided fields of a record array included, and are not modified.
     """
     from scipy.special import chdtrc
 
-    observed = np.asarray(observed, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    if observed.shape != weights.shape:
+    obs = np.array(observed, dtype=np.float64)
+    expected = np.array(weights, dtype=np.float64)
+    if obs.shape != expected.shape:
         raise ValueError("observed and weights must align")
-    support = weights > 0
-    if np.any(observed[~support] > 0):
-        return math.inf, 0.0, int(np.count_nonzero(support)) - 1
-    obs = observed[support]
+    support = expected > 0
+    if not support.all():
+        if np.any(obs[~support] > 0):
+            return math.inf, 0.0, int(np.count_nonzero(support)) - 1
+        obs, expected = obs[support], expected[support]
     if obs.size == 1:
         # Point mass: nothing to test once off-support bins are known empty.
         return 0.0, 1.0, 0
-    probs = weights[support] / weights[support].sum()
-    expected = probs * obs.sum()
-    stat = ((obs - expected) ** 2 / expected).sum()
+    # scipy.stats.chisquare's float64 operations, in its order:
+    # expected = weights / sum(weights) * sum(obs), then
+    # stat = sum((obs - expected) ** 2 / expected); x ** 2 is x * x.
+    expected /= expected.sum()
+    expected *= obs.sum()
+    obs -= expected
+    obs *= obs
+    obs /= expected
+    stat = obs.sum()
     dof = int(obs.size) - 1
     return float(stat), float(chdtrc(dof, stat)), dof

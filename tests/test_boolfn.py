@@ -325,6 +325,12 @@ class TestArrayInstances:
         lambda: AcceptInstance(2, 6, (1.0, 3.0), (1, -1)),
         lambda: AcceptInstance(2, 6, (1, 3), (1.0, -1.0)),
         lambda: AcceptInstance(2, 6, (1, 3), np.array([True, True])),
+        # bools in an int list were promoted to int64, floats in an object
+        # array truncated
+        lambda: RejectInstance(2, 6, [True, False, 2, 3]),
+        lambda: RejectInstance(1, 4, np.array([0.9, 1], dtype=object)),
+        lambda: AcceptInstance(2, 6, (1, 3), [1, True]),
+        lambda: AcceptInstance(2, 6, np.array([1.5, 3], dtype=object), (1, -1)),
     ])
     def test_float_and_bool_input_is_refused(self, make):
         with pytest.raises(TypeError):

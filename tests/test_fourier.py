@@ -127,6 +127,11 @@ class TestSpectrumType:
         np.array([2.0, 0.0]),
         [2.0, 0.0],
         np.array([True, False]),
+        # an object array or a list keeps what numpy would promote or cast
+        np.array([2.7, 0.4], dtype=object),
+        np.array([2, False], dtype=object),
+        [2, False],
+        [2, np.float64(0.0)],
     ])
     def test_rejects_float_and_bool_coefficients(self, coeffs):
         with pytest.raises(TypeError):
@@ -134,7 +139,9 @@ class TestSpectrumType:
 
     @pytest.mark.parametrize("coeffs", [[2, 0], (2, 0),
                                         np.array([2, 0], dtype=np.int32),
-                                        np.array([2, 0], dtype=np.uint8)])
+                                        np.array([2, 0], dtype=np.uint8),
+                                        np.array([2, 0], dtype=object),
+                                        [np.int64(2), np.uint8(0)]])
     def test_accepts_integer_lists_tuples_and_arrays(self, coeffs):
         sp = Spectrum(1, coeffs)
         assert sp.coeffs.dtype == np.int64 and sp.coeffs.tolist() == [2, 0]

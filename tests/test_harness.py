@@ -28,6 +28,7 @@ from fsjunta.harness import (
     N_AMBIENT_MAX,
     ConfigError,
     ExperimentConfig,
+    _CSV_CHUNK,
     _write_outputs,
     config_from_mapping,
     parse_config_file,
@@ -453,6 +454,26 @@ class TestCsvWriter:
             out_path, _ = _write_outputs(cfg, form, {})
             assert out_path.read_bytes() == naive_csv(COLUMNS["fs-dist"], form)
 
+    @pytest.mark.parametrize("count", [_CSV_CHUNK - 1, _CSV_CHUNK, _CSV_CHUNK + 1,
+                                       2 * _CSV_CHUNK + 3])
+    def test_chunk_edges_of_either_form(self, tmp_path, count):
+        # Widths grow from chunk to chunk, and only the last chunk holds a
+        # negative int, so chunks encode the same column differently.
+        big = np.arange(count, dtype=np.uint64) ** 4
+        signed = np.arange(count, dtype=np.int64)
+        signed[-1] = -5
+        fraction = np.arange(count) / 7
+        records = np.rec.fromarrays([big, signed, fraction], names=COLUMNS["fs-dist"])
+        names = COLUMNS["learn-junta"]
+        rows = [{"trial": i, "seed": int(b), "status": "ab"[i % 2] * (i % 5),
+                 "fs_calls": int(v), "ex_calls": 0, "encountered_fraction": float(f),
+                 "error": math.nan, "wall_ms": float(v) / 3}
+                for i, (b, v, f) in enumerate(zip(big, signed, fraction))]
+        for kind, form in (("fs-dist", records), ("learn-junta", rows)):
+            cfg = ExperimentConfig(kind, out=str(tmp_path / f"{kind}.csv"))
+            out_path, _ = _write_outputs(cfg, form, {})
+            assert out_path.read_bytes() == naive_csv(COLUMNS[kind], form)
+
     def test_zero_rows_give_a_header_only_file(self, tmp_path):
         # every trial kind; lb-tv once reported a TV of 0.0 over no rows
         params = {"test-junta": dict(k=2, n=8), "learn-junta": dict(k=2, n=8),
@@ -470,6 +491,26 @@ class TestCsvWriter:
             summary = read_summary(result.summary_path)
             assert summary["rows"] == "0" and summary["interval_halfwidth"] == "nan"
             assert summary[summary["primary_metric"]] == "nan", kind
+
+    def test_fs_dist_memory_peak(self, tmp_path):
+        # The spectrum workload's config. tracemalloc reads the peak, in
+        # 2^18-entry int64 arrays, as about 11 with dense bins and a
+        # one-shot writer, and 6 with counts on the support and a chunked
+        # writer; the bound sits between the two.
+        import tracemalloc
+
+        import scipy.special  # noqa: F401  (its import is not the run's data)
+
+        cfg = ExperimentConfig("fs-dist", target="random", n=18, num_draws=250_000,
+                               out=str(tmp_path / "s.csv"))
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        array = 8 << 18
+        assert peak < 8 * array, f"peak of {peak / array:.2f} arrays"
 
     def test_fs_dist_rows_are_one_record_per_mask(self, tmp_path):
         result = run_experiment(ExperimentConfig(

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -691,3 +693,77 @@ class TestDrawExposed:
         # The prefix alone misses variables that the rest exposes.
         seen_early = vars_from_mask(union_mask(prefix_fs.draw_batch(PREFIX)))
         assert set(seen_early) < set(got) == set(range(9))
+
+
+# fs-dist's four targets at the sizes the counting draw is checked on.
+COUNT_TABLES = {
+    "and2": lambda: AND2,
+    "random-8": lambda: random_table(8, make_rng(8, "counts-table")),
+    "random-16": lambda: random_table(16, make_rng(16, "counts-table")),
+    "reject-2": lambda: realize_reject(
+        sample_reject_instance(2, 6, make_rng(0, "counts-reject"))),
+    "accept-2": lambda: realize_accept(
+        sample_accept_instance(2, 4, make_rng(0, "counts-accept"))),
+}
+
+
+class TestDrawCounts:
+    """``draw_counts(m)`` against ``np.bincount(draw_batch(m))`` from twin
+    seeds: the same counts on the support, calls and final generator
+    state."""
+
+    @pytest.mark.parametrize("m", [0, 1, 5000])
+    @pytest.mark.parametrize("name", COUNT_TABLES)
+    def test_is_the_bincount_of_a_batch_on_the_support(self, name, m):
+        table = COUNT_TABLES[name]()
+        want_masks, want_weights = spectral_support(table)
+        got_rng, want_rng = make_rng(6, "counts"), make_rng(6, "counts")
+        got_fs = FsOracle.from_table(table, got_rng)
+        want_fs = FsOracle.from_table(table, want_rng)
+        for _ in range(2):  # the second call starts mid-stream
+            masks, weights, counts = got_fs.draw_counts(m)
+            dense = np.bincount(want_fs.draw_batch(m), minlength=1 << table.n)
+            assert masks.dtype == weights.dtype == counts.dtype == np.int64
+            assert np.all(masks[1:] > masks[:-1])
+            assert masks.tolist() == want_masks.tolist()
+            assert weights.tolist() == want_weights.tolist()
+            assert int(weights.sum()) == 1 << (2 * table.n)
+            assert counts.tolist() == dense[masks].tolist()
+            assert int(counts.sum()) == int(dense.sum()) == m  # none off the support
+        assert got_fs.calls == want_fs.calls == 2 * m
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [20, 1024])
+    def test_a_junta_counts_on_its_ambient_masks(self, n):
+        spec = wide_junta(n)
+        want_masks, want_weights = junta_support(spec)
+        got_rng, want_rng = make_rng(7, "counts"), make_rng(7, "counts")
+        masks, weights, counts = FsOracle.from_junta(spec, got_rng).draw_counts(1300)
+        tally = Counter(FsOracle.from_junta(spec, want_rng).draw_batch(1300).tolist())
+        assert masks.dtype == mask_dtype(n)
+        assert np.all(masks[1:] > masks[:-1])  # lifting keeps the order
+        assert masks.tolist() == want_masks.tolist()
+        assert weights.tolist() == want_weights.tolist()
+        assert counts.tolist() == [tally[mask] for mask in masks.tolist()]
+        assert int(counts.sum()) == 1300
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("name", COUNT_TABLES)
+    def test_negative_m_raises_before_any_draw(self, name):
+        rng = make_rng(8, "counts")
+        fs = FsOracle.from_table(COUNT_TABLES[name](), rng)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            fs.draw_counts(-1)
+        assert fs.calls == 0
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("name", ["for_parity", "for_reject", "for_accept"])
+    def test_only_weight_samplers_count(self, name):
+        rng = make_rng(9, "counts")
+        fs = EXPOSED_BUILDERS[name](rng)
+        state = rng.bit_generator.state
+        with pytest.raises(TypeError):
+            fs.draw_counts(5)
+        assert fs.calls == 0
+        assert rng.bit_generator.state == state

@@ -12,9 +12,13 @@ The output holds the command, the host (nproc and the Python, numpy and
 scipy versions), the parent commit, each pair's two last-line JSON reports,
 and per metric both sides' medians and inclusive quartiles
 (``statistics.quantiles(method="inclusive")``) and the number of pairs in
-which the change read lower. Only the standard library is used. If any
-run reports ``correct`` false or a failed call, the tool names that pair
-and side, writes nothing and exits 1.
+which the change read lower. One ``run.py --trace 1`` per side follows
+the pairs, and ``per_layer`` holds, per per-layer metric, each side's
+value from it: the median over the traced calls for a time,
+the exact count for a counter. The end-to-end ``summary`` comes from the
+plain pairs alone, since tracing slows the calls it wraps. Only the
+standard library is used. If any run reports ``correct`` false or a
+failed call, the tool names that run, writes nothing and exits 1.
 
 Usage, from the repository root:
     python3 tools/bench_pairs.py HEAD BENCH_<pr>.json
@@ -66,6 +70,24 @@ def run_side(copy: Path, args: list[str]) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def failed(label: str, report: dict) -> bool:
+    """Whether a run gave a wrong output, said on stderr either way."""
+    print(f"{label}: correct={report['correct']} failed={report['failed']}",
+          file=sys.stderr)
+    if report["correct"] is not True or report["failed"]:
+        # A wrong output's timings measure nothing; record none.
+        print(f"{label} gave a wrong output; nothing written", file=sys.stderr)
+        return True
+    return False
+
+
+def per_layer(traced: dict) -> dict:
+    """Each per-layer metric with both sides' values from the traced runs."""
+    return {name: {"unit": metric["unit"],
+                   **{side: traced[side]["metrics"][name]["value"] for side in SIDES}}
+            for name, metric in traced["parent"]["metrics"].items()}
+
+
 def summarize(pairs: list[dict]) -> dict:
     summary = {}
     for name, metric in pairs[0]["parent"]["metrics"].items():
@@ -99,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
         run_args += ["--seconds", str(args.seconds)]
     commit = git("rev-parse", "--verify", f"{args.ref}^{{commit}}",
                  text=True).stdout.strip()
-    pairs = []
+    pairs, traced = [], {}
     with tempfile.TemporaryDirectory() as tmp:
         copies = {side: Path(tmp, side) for side in SIDES}
         for copy in copies.values():
@@ -110,15 +132,14 @@ def main(argv: list[str] | None = None) -> int:
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"order": list(order)}
             for side in order:
-                report = pair[side] = run_side(copies[side], run_args)
-                print(f"pair {i} {side}: correct={report['correct']} "
-                      f"failed={report['failed']}", file=sys.stderr)
-                if report["correct"] is not True or report["failed"]:
-                    # A wrong output's timings measure nothing; record none.
-                    print(f"pair {i} {side} gave a wrong output; nothing "
-                          f"written", file=sys.stderr)
+                pair[side] = run_side(copies[side], run_args)
+                if failed(f"pair {i} {side}", pair[side]):
                     return 1
             pairs.append(pair)
+        for side in SIDES:
+            traced[side] = run_side(copies[side], [*run_args, "--trace", "1"])
+            if failed(f"traced {side}", traced[side]):
+                return 1
 
     record = {
         "command": " ".join(["python3", "e2ebench/run.py", *run_args]),
@@ -127,6 +148,7 @@ def main(argv: list[str] | None = None) -> int:
         "parent": {"commit": commit},
         "pairs": pairs,
         "summary": summarize(pairs),
+        "per_layer": per_layer(traced),
     }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     return 0
