@@ -2,12 +2,15 @@
 
 Every kind but fs-dist runs through one loop, :func:`_run_trials`. Each
 trial index runs once per *arm* of the kind (a source or a scenario, or a
-single unnamed arm) on a generator seeded with ``derive_seed(master_seed,
-"<kind>[:<arm>]", trial)``, so any single row can be replayed in isolation
-and re-running a config reproduces the output byte for byte apart from
-wall-time fields. The loop owns the seeding, the time budget and each row's
-``wall_ms``; a kind supplies only its trial and summary functions, and its
-rows are a list of dicts. fs-dist is a single draw batch from one table,
+single unnamed arm) on the stream of ``np.random.default_rng(seed)``, with
+``seed = derive_seed(master_seed, "<kind>[:<arm>]", trial)`` in the row's
+``seed`` column, so any single row can be replayed in isolation and
+re-running a config reproduces the output byte for byte apart from
+wall-time fields. The loop runs every arm on one generator, re-seeded in
+place to the state ``default_rng(seed)`` starts from (``pcg64_states``).
+It owns the seeding, the time budget and each row's ``wall_ms``; a kind
+supplies only its trial and summary functions, and its rows are a list of
+dicts. fs-dist is a single draw batch from one table,
 counted per mask of the spectrum's support by the oracle's counting draw,
 and its rows are one numpy record array with one record per support mask.
 
@@ -37,7 +40,7 @@ from ._kernels import decimal_cells
 from .fourier import wht
 from .learning import hypothesis_error, learn_junta, stage_one_draws
 from .oracles import (DRAWS_MAX, EX_N_MAX, ExOracle, FsOracle, accept_transcript,
-                      derive_seed, make_rng, reject_transcript)
+                      derive_seed, make_rng, pcg64_states, reject_transcript)
 from .stats import chernoff_halfwidth, chi_square_gof
 from .testing import (ACCEPT, REJECT, SCENARIO_I, SCENARIO_II, collision_features,
                       collision_guess, histogram_tv, junta_test, junta_test_draws,
@@ -418,22 +421,41 @@ _TRIALS = {
 }
 
 
+#: Trials whose seeds :func:`_run_trials` derives and hashes at once. Any
+#: size gives the same streams and bytes, so it is no setting; 64 spreads
+#: the batch hash's fixed cost (about 50 µs, some five ``default_rng``
+#: calls) over 64-128 seeds, and a time budget that cuts a block wastes at
+#: most 63 trials' seeds.
+_SEED_BLOCK = 64
+
+
 def _run_trials(cfg: ExperimentConfig, start: float) -> tuple[list[dict], bool]:
     """All rows of a trial kind, and whether the time budget cut them short.
-    Seeds are derived here, outside the trial functions, so a trace sees
-    each derivation as the start of an arm's stream."""
+
+    Every arm runs on one ``Generator(PCG64)``, re-seeded in place to the
+    state a fresh ``np.random.default_rng(seed)`` starts from, so its stream
+    is that generator's. Seeds are derived here, outside the trial
+    functions, ``_SEED_BLOCK`` trials (all arms) at a time, and their states
+    hashed in one batch by ``pcg64_states``: a fresh generator per arm, about
+    10 µs of SeedSequence code, was a quarter of a lower-bound arm's cost."""
     arms, trial_fn, _ = _TRIALS[cfg.kind]
+    labels = [cfg.kind if arm is None else f"{cfg.kind}:{arm}" for arm in arms]
+    rng = np.random.Generator(np.random.PCG64(0))  # every arm re-seeds it
     rows = []
     for trial in range(cfg.trials):
         if (cfg.max_seconds is not None
                 and time.perf_counter() - start >= cfg.max_seconds):
             return rows, True
+        if trial % _SEED_BLOCK == 0:
+            seeds = [derive_seed(cfg.seed, label, index) for index in
+                     range(trial, min(trial + _SEED_BLOCK, cfg.trials))
+                     for label in labels]
+            block = zip(seeds, pcg64_states(seeds))
         for arm in arms:
             t0 = time.perf_counter()
-            label = cfg.kind if arm is None else f"{cfg.kind}:{arm}"
-            seed = derive_seed(cfg.seed, label, trial)
+            seed, rng.bit_generator.state = next(block)
             row = {"trial": trial, "seed": seed}
-            row.update(trial_fn(cfg, np.random.default_rng(seed), arm))
+            row.update(trial_fn(cfg, rng, arm))
             row["wall_ms"] = round(1e3 * (time.perf_counter() - t0), 3)
             rows.append(row)
     return rows, False

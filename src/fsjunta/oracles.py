@@ -44,7 +44,7 @@ prefix sums among the keys gives every count, with no per-draw mask.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -128,6 +128,86 @@ def derive_seed(master: int, label: str, index: int = 0) -> int:
 
 def make_rng(master: int, label: str, index: int = 0) -> np.random.Generator:
     return np.random.default_rng(derive_seed(master, label, index))
+
+
+_U32 = 0xFFFFFFFF
+
+
+def _hash_words(init: int, mult: int, count: int) -> np.ndarray:
+    """A SeedSequence hash-constant sequence: ``init * mult^i`` mod 2^32
+    for i < count, as a column. (By ``reshape``: making it with ``[:, None]``
+    raised a small trial run's peak RSS by about 30 KB of numpy code.)"""
+    words = [init]
+    for _ in range(count - 1):
+        words.append(words[-1] * mult & _U32)
+    return np.array(words, dtype=np.int64).reshape(-1, 1)
+
+
+# numpy's SeedSequence (pool size 4) as pcg64_states runs it. Its hash
+# constants depend on no data: the pool hash (INIT_A, MULT_A) takes 16 of
+# them, 4 to fill the pool and 3 for each of the 4 mixing rounds, and the
+# output hash (INIT_B, MULT_B) takes 8, one per uint32 of the 4 uint64
+# state words; each XORs with one and multiplies by the next.
+_POOL_HASH = _hash_words(0x43B0D7E5, 0x931E8875, 17)
+_OUT_HASH = _hash_words(0x8B51F9DD, 0x58F38DED, 9)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MIX_OTHERS = tuple(np.array([d for d in range(4) if d != s]) for s in range(4))
+_POOL_CYCLE = np.array([0, 1, 2, 3, 0, 1, 2, 3])
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hashmix(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    words = words ^ xor
+    words *= mult
+    words &= _U32
+    words ^= words >> 16
+    return words
+
+
+def pcg64_states(seeds: list[int]) -> Iterator[dict]:
+    """``np.random.default_rng(seed).bit_generator.state`` of each 64-bit
+    seed, in order, hashed for the whole batch at once.
+
+    ``default_rng(seed)`` hashes the seed's two 32-bit words, padded with
+    zeros to a pool of 4, through SeedSequence and seeds PCG64 with the 4
+    uint64 words that the pool generates. Here that hash runs as a few
+    dozen numpy operations over a ``(4, len(seeds))`` array, and PCG64's
+    seeding step, two 128-bit LCG steps, in Python ints as each state is
+    taken. Assigning a state to a ``Generator(PCG64)``'s
+    ``bit_generator.state`` gives the stream of a fresh
+    ``default_rng(seed)``, at a fraction of its cost.
+
+    The uint32 arithmetic runs in int64, the dtype the other layers compute
+    in: a product wraps mod 2^64 and the mask keeps its low 32 bits.
+    Unsigned bitwise ops, or a uint32 to int64 cast, would page in about
+    64 KB of numpy code that the trial kinds never run otherwise, which
+    shows in a small run's peak RSS.
+    """
+    packed = np.array(seeds, dtype=np.uint64).view(np.int64)
+    pool = np.zeros((4, len(seeds)), dtype=np.int64)
+    pool[0] = packed & _U32
+    pool[1] = packed >> 32 & _U32
+    pool = _hashmix(pool, _POOL_HASH[0:4], _POOL_HASH[1:5])
+    for src, others in enumerate(_MIX_OTHERS):
+        hashed = _hashmix(pool[src], _POOL_HASH[4 + 3 * src:7 + 3 * src],
+                          _POOL_HASH[5 + 3 * src:8 + 3 * src])
+        mixed = pool[others] * _MIX_L
+        mixed -= hashed * _MIX_R
+        mixed &= _U32
+        mixed ^= mixed >> 16
+        pool[others] = mixed
+    out = _hashmix(pool[_POOL_CYCLE], _OUT_HASH[:8], _OUT_HASH[1:])
+    # uint64 word k is uint32 words 2k (low) and 2k+1 (high). PCG64 takes
+    # words 0-1 as its initial state and 2-3 as its stream, high word first.
+    words = (out[0::2] | out[1::2] << 32).view(np.uint64)
+    for state_hi, state_lo, seq_hi, seq_lo in words.T.tolist():
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        init = state_hi << 64 | state_lo
+        yield {"bit_generator": "PCG64",
+               "state": {"state": ((inc + init) * _PCG64_MULT + inc) & _MASK128,
+                         "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
 
 
 class LabeledExample(NamedTuple):

@@ -196,6 +196,23 @@ def two_call_accept_transcript(inst, rng, m):
     return inst.tau[leaf], base | ((parity ^ want_odd) << (inst.r - 1))
 
 
+def fresh_generator_rows(cfg, trials_table, derive_seed) -> list[dict]:
+    """The rows of a trial kind without ``wall_ms``, from a loop that builds
+    a fresh ``np.random.default_rng(derive_seed(...))`` for every arm and
+    runs every trial: the harness loop before it re-seeded one generator.
+    ``trials_table`` maps a kind to its (arms, trial function, summary)."""
+    arms, trial_fn, _ = trials_table[cfg.kind]
+    rows = []
+    for trial in range(cfg.trials):
+        for arm in arms:
+            label = cfg.kind if arm is None else f"{cfg.kind}:{arm}"
+            seed = derive_seed(cfg.seed, label, trial)
+            row = {"trial": trial, "seed": seed}
+            row.update(trial_fn(cfg, np.random.default_rng(seed), arm))
+            rows.append(row)
+    return rows
+
+
 def naive_csv(columns, rows) -> bytes:
     """The bytes ``csv.DictWriter`` writes for ``rows`` under ``columns``;
     a row that is not a dict (a record) is read field by field."""

@@ -7,8 +7,10 @@ import os
 import shlex
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
+from itertools import count
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,13 +31,15 @@ from fsjunta.harness import (
     ConfigError,
     ExperimentConfig,
     _CSV_CHUNK,
+    _SEED_BLOCK,
+    _TRIALS,
     _write_outputs,
     config_from_mapping,
     parse_config_file,
     run_experiment,
     validate_config,
 )
-from reference import naive_csv
+from reference import fresh_generator_rows, naive_csv
 
 
 def read_rows(path):
@@ -313,6 +317,45 @@ class TestRunExperiment:
         assert result.truncated
         assert len(result.rows) < 500
         assert read_summary(result.summary_path)["truncated"] == "1"
+
+
+# One tiny config per trial kind.
+TINY = {
+    "test-junta": dict(k=2, n=6),
+    "learn-junta": dict(k=2, n=6, eps=0.3),
+    "lb-collision": dict(r=2, n=8, num_draws=3),
+    "lb-tv": dict(r=2, n=8, num_draws=3),
+    "scenario": dict(k=3, n=5, c=1.0),
+}
+
+
+class TestSeedBlocks:
+    """The trial loop re-seeds one generator from seeds hashed a block of
+    trials at a time; its rows must be those of a fresh generator per arm."""
+
+    @pytest.mark.parametrize("kind", sorted(TINY))
+    def test_rows_equal_a_fresh_generator_per_arm(self, kind):
+        cfg = validate_config(ExperimentConfig(kind, seed=21, trials=_SEED_BLOCK + 1,
+                                               **TINY[kind]))
+        assert strip_walltime(run_experiment(cfg).rows) == \
+            fresh_generator_rows(cfg, _TRIALS, fsjunta.derive_seed)
+
+    @pytest.mark.parametrize("kind", ["test-junta", "lb-tv"])
+    def test_a_budget_cut_mid_block_gives_a_prefix(self, kind, monkeypatch):
+        import fsjunta.harness as harness
+        cfg = ExperimentConfig(kind, seed=22, trials=2 * _SEED_BLOCK + 1, **TINY[kind])
+        full = strip_walltime(run_experiment(cfg).rows)
+        # A clock that advances one second per reading: run_experiment reads
+        # it once, each trial once for its budget check and each arm twice.
+        ticks = count()
+        monkeypatch.setattr(harness, "time",
+                            SimpleNamespace(perf_counter=lambda: float(next(ticks))))
+        arms = len(_TRIALS[kind][0])
+        cut = _SEED_BLOCK + 6  # inside the second block
+        result = run_experiment(replace(cfg, max_seconds=(1 + 2 * arms) * cut + 1))
+        assert result.truncated
+        assert len(result.rows) == cut * arms
+        assert strip_walltime(result.rows) == full[:cut * arms]
 
 
 # One small config per kind and target, at seed 7, with the digests of its

@@ -37,6 +37,7 @@ from fsjunta.oracles import (
     lift_tables,
     mask_dtype,
     masks_from_transcript,
+    pcg64_states,
     reject_transcript,
 )
 from reference import (
@@ -71,6 +72,44 @@ class TestSeedDerivation:
         a = make_rng(1, "x", 0).integers(0, 1 << 30, size=50)
         b = make_rng(1, "x", 0).integers(0, 1 << 30, size=50)
         assert np.array_equal(a, b)
+
+
+# The ends of each 32-bit word of a seed, and of the 64-bit range.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+class TestPcg64States:
+    def test_each_state_is_a_fresh_generators(self):
+        seeds = EDGE_SEEDS + [derive_seed(master, label, i)
+                              for master in (0, -1, 2**63 - 1)
+                              for label in ("lb-tv:accept", "scenario:II")
+                              for i in range(170)]
+        assert len(seeds) >= 1000
+        assert list(pcg64_states(seeds)) == [
+            np.random.default_rng(seed).bit_generator.state for seed in seeds]
+
+    @pytest.mark.parametrize("size", [0, 1, 5])
+    def test_small_batches(self, size):
+        seeds = EDGE_SEEDS[:size]
+        assert list(pcg64_states(seeds)) == [
+            np.random.default_rng(seed).bit_generator.state for seed in seeds]
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS + [derive_seed(3, "x", 9)])
+    def test_reseeding_in_place_gives_a_fresh_stream(self, seed):
+        # three 32-bit draws leave the spare half of a 64-bit output behind;
+        # the new state must drop it, as a fresh generator has none
+        rng = np.random.default_rng(12345)
+        rng.integers(0, 2, size=3)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        (rng.bit_generator.state,) = pcg64_states([seed])
+
+        def draws(gen):
+            return (gen.integers(0, 2, size=3),
+                    gen.integers(0, 1 << 40, size=5, dtype=np.int64),
+                    gen.choice(100, size=5, replace=False), gen.random(4))
+
+        for ours, fresh in zip(draws(rng), draws(np.random.default_rng(seed))):
+            assert np.array_equal(ours, fresh)
 
 
 class TestFsFromSpectrum:

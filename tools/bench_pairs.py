@@ -9,7 +9,9 @@ copy of ``src/``, ``e2ebench/`` and ``BENCHMARK.json`` with
 change's copied from the working tree, so uncommitted edits are measured.
 
 The output holds the command, the host (nproc and the Python, numpy and
-scipy versions), the parent commit, each pair's two last-line JSON reports,
+scipy versions), the parent commit, the change side's identity (``commit``,
+the working tree's HEAD, and ``dirty``, whether ``src/``, ``e2ebench/`` or
+``BENCHMARK.json`` differ from it), each pair's two last-line JSON reports,
 and per metric both sides' medians and inclusive quartiles
 (``statistics.quantiles(method="inclusive")``) and the number of pairs in
 which the change read lower. One ``run.py --trace 1`` per side follows
@@ -121,6 +123,10 @@ def main(argv: list[str] | None = None) -> int:
         run_args += ["--seconds", str(args.seconds)]
     commit = git("rev-parse", "--verify", f"{args.ref}^{{commit}}",
                  text=True).stdout.strip()
+    change = {"commit": git("rev-parse", "HEAD", text=True).stdout.strip(),
+              # untracked files under TREE count too: change_copy takes them
+              "dirty": bool(git("status", "--porcelain", "--", *TREE,
+                                text=True).stdout.strip())}
     pairs, traced = [], {}
     with tempfile.TemporaryDirectory() as tmp:
         copies = {side: Path(tmp, side) for side in SIDES}
@@ -146,6 +152,7 @@ def main(argv: list[str] | None = None) -> int:
         "host": {"nproc": os.cpu_count(), "python": sys.version.split()[0],
                  "numpy": version("numpy"), "scipy": version("scipy")},
         "parent": {"commit": commit},
+        "change": change,
         "pairs": pairs,
         "summary": summarize(pairs),
         "per_layer": per_layer(traced),
