@@ -208,8 +208,9 @@ def make_junta(spec: JuntaSpec) -> TruthTable:
 
 def random_table(n: int, rng: np.random.Generator) -> TruthTable:
     _check_n(n)
-    vals = (2 * rng.integers(0, 2, size=1 << n) - 1).astype(np.int8)
-    return TruthTable(n, vals)
+    # 2b - 1 for each drawn bit b, gathered as int8: no int64 +-1 array is
+    # built, and the drawn bits are freed before the table is checked.
+    return TruthTable(n, np.array([-1, 1], dtype=np.int8)[rng.integers(0, 2, size=1 << n)])
 
 
 def random_junta_spec(n: int, k: int, rng: np.random.Generator) -> JuntaSpec:

@@ -5,8 +5,9 @@ where ``chi_S`` is the parity of the variables in bitmask ``S``. With that
 scaling every identity in this module is an integer equality; nothing here
 needs a floating-point tolerance. For n <= 24 all magnitudes stay far
 inside int64 (coefficients below 2^25, squares below 2^50). The transform
-itself runs as float64 BLAS products (see :mod:`fsjunta._kernels`), which
-are exact because every partial sum is an integer below 2^53.
+itself runs as BLAS products (see :mod:`fsjunta._kernels`), which are
+exact: every partial sum is an integer below 2^24 in float32, or below
+2^53 in float64, and those types hold every such integer.
 """
 from __future__ import annotations
 
@@ -71,8 +72,9 @@ def wht(f: TruthTable) -> Spectrum:
 
     The int8 table goes straight into :func:`fsjunta._kernels.wht`: H_{2^n}
     applied as a Kronecker product of Sylvester blocks of at most 64 x 64,
-    one float64 BLAS product per block. Every partial sum is an integer of
-    magnitude at most 2^n <= 2^24, far below 2^53, so float64 is exact.
+    one BLAS product per block. Every partial sum is an integer of
+    magnitude at most 2^n, so the products run in float32, exact below
+    2^24, up to n = 23, and in float64, exact below 2^53, at n = 24.
     """
     return Spectrum(f.n, _kernels.wht(f.values))
 
@@ -81,7 +83,8 @@ def inverse_wht(sp: Spectrum) -> TruthTable:
     """Reconstruct the table: the transform is its own inverse up to 2^n.
 
     Same blocked products as :func:`wht`; coefficients are at most 2^n, so
-    every partial sum is at most 4^n <= 2^48 and float64 stays exact.
+    every partial sum is at most ``max|coeffs| * 2^n <= 4^n <= 2^48``: in
+    float32 when that is below 2^24 (always up to n = 11), else in float64.
     """
     work = _kernels.wht(sp.coeffs)
     size = 1 << sp.n

@@ -19,7 +19,8 @@ fs-dist (header is a stable interface), built column-wise in numpy by one
 writer, 2^14 rows at a time (non-negative ints as digit matrices, other
 values through ``str``), plus a ``<out>.summary`` sidecar of
 ``key = value`` lines holding the aggregate rates, their two-sided
-Chernoff half-width at the configured delta, and timing.
+Chernoff half-width at the configured delta (per arm too, from the arm's
+own rows, for lb-collision and scenario), and timing.
 """
 from __future__ import annotations
 
@@ -290,6 +291,24 @@ def _mean(values) -> float:
     return sum(values) / len(values) if values else math.nan
 
 
+def _halfwidth(count: int, delta: float) -> float:
+    """Chernoff half-width of a rate over ``count`` rows; NaN over none."""
+    return chernoff_halfwidth(count, delta) if count else math.nan
+
+
+def _arm_rates(cfg: ExperimentConfig, rows: list[dict], rate: str, field: str,
+               arms: dict[str, str]) -> dict:
+    """Per arm, keyed by its suffix in ``arms``: the rate of correct rows
+    among those whose ``field`` is the arm, and that rate's half-width,
+    sized from the arm's own row count."""
+    summary = {}
+    for arm, suffix in arms.items():
+        correct = [r["correct"] for r in rows if r[field] == arm]
+        summary[f"{rate}_{suffix}"] = _mean(correct)
+        summary[f"interval_halfwidth_{suffix}"] = _halfwidth(len(correct), cfg.delta)
+    return summary
+
+
 def _test_junta_trial(cfg: ExperimentConfig, rng: np.random.Generator, arm) -> dict:
     if cfg.target == "junta":
         fs = FsOracle.from_junta(random_junta_spec(cfg.n, cfg.k, rng), rng)
@@ -373,8 +392,8 @@ def _lb_collision_trial(cfg: ExperimentConfig, rng: np.random.Generator,
 def _lb_collision_summary(cfg: ExperimentConfig, rows: list[dict]) -> dict:
     return {
         "success_rate": _mean(r["correct"] for r in rows),
-        "success_rate_accept": _mean(r["correct"] for r in rows if r["source"] == ACCEPT),
-        "success_rate_reject": _mean(r["correct"] for r in rows if r["source"] == REJECT),
+        **_arm_rates(cfg, rows, "success_rate", "source",
+                     {ACCEPT: "accept", REJECT: "reject"}),
         "primary_metric": "success_rate",
     }
 
@@ -401,10 +420,8 @@ def _scenario_trial(cfg: ExperimentConfig, rng: np.random.Generator, which: str)
 def _scenario_summary(cfg: ExperimentConfig, rows: list[dict]) -> dict:
     return {
         "correct_rate": _mean(r["correct"] for r in rows),
-        "correct_rate_scenario_i": _mean(
-            r["correct"] for r in rows if r["scenario"] == SCENARIO_I),
-        "correct_rate_scenario_ii": _mean(
-            r["correct"] for r in rows if r["scenario"] == SCENARIO_II),
+        **_arm_rates(cfg, rows, "correct_rate", "scenario",
+                     {SCENARIO_I: "scenario_i", SCENARIO_II: "scenario_ii"}),
         "primary_metric": "correct_rate",
     }
 
@@ -517,8 +534,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     }
     full_summary.update(summary)
     full_summary["chernoff_delta"] = cfg.delta
-    full_summary["interval_halfwidth"] = (
-        chernoff_halfwidth(len(rows), cfg.delta) if len(rows) else math.nan)
+    full_summary["interval_halfwidth"] = _halfwidth(len(rows), cfg.delta)
     full_summary["elapsed_s"] = round(time.perf_counter() - start, 6)
 
     result = ExperimentResult(cfg, rows, full_summary, truncated)

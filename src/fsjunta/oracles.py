@@ -412,7 +412,9 @@ class FsOracle:
         # The exact check bounds every prefix sum by 4^n, so none wraps.
         masks = np.flatnonzero(sp.coeffs)
         masks.setflags(write=False)  # draw_counts hands it out as it is
-        cum = np.cumsum(sp.coeffs[masks] ** 2)
+        cum = sp.coeffs[masks]
+        np.square(cum, out=cum)
+        np.cumsum(cum, out=cum)
         total = 1 << (2 * sp.n)
 
         def sample_batch(m: int):
@@ -444,13 +446,20 @@ class FsOracle:
             return union
 
         def sample_counts(m: int):
+            # Outputs before temporaries: allocated after the keys were
+            # freed, they raised the n = 18 fs-dist run's peak RSS.
+            weights = np.empty_like(cum)
+            counts = np.empty_like(cum)
             keys = rng.integers(0, total, size=m, dtype=np.int64)
             keys.sort()
             # Key u lands on entry j iff cum[j-1] <= u < cum[j], so the keys
             # below cum[j] are those that land on entries 0..j.
             below = np.searchsorted(keys, cum, side="left")
-            del keys  # freed before the two differences are built
-            return masks, np.diff(cum, prepend=0), np.diff(below, prepend=0)
+            del keys
+            for out, running in ((weights, cum), (counts, below)):
+                out[0] = running[0]
+                np.subtract(running[1:], running[:-1], out=out[1:])
+            return masks, weights, counts
 
         return cls(n, sample_batch, relevant, sample_union, sample_counts)
 

@@ -251,6 +251,10 @@ class TestRunExperiment:
         assert result.summary["success_rate_accept"] == 1.0
         assert result.summary["success_rate"] >= 2 / 3
         assert len(result.rows) == 120
+        # each arm's rate covers its own 60 rows, the pooled rate all 120
+        assert result.summary["interval_halfwidth"] == chernoff_halfwidth(120, 0.05)
+        for arm in ("accept", "reject"):
+            assert result.summary[f"interval_halfwidth_{arm}"] == chernoff_halfwidth(60, 0.05)
 
     def test_lb_tv_summary_holds_the_estimate(self, tmp_path):
         cfg = ExperimentConfig("lb-tv", seed=5, trials=300, r=6, n=80,
@@ -265,6 +269,9 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result.summary["correct_rate_scenario_ii"] == 1.0
         assert result.summary["correct_rate_scenario_i"] >= 0.8
+        assert result.summary["interval_halfwidth"] == chernoff_halfwidth(50, 0.05)
+        for arm in ("scenario_i", "scenario_ii"):
+            assert result.summary[f"interval_halfwidth_{arm}"] == chernoff_halfwidth(25, 0.05)
 
     def test_fs_dist_and2(self, tmp_path):
         cfg = ExperimentConfig("fs-dist", seed=7, target="and2",
@@ -375,17 +382,17 @@ PINNED = {
     "learn-junta-parity": (dict(kind="learn-junta", target="parity", k=3, n=40, trials=10),
                            ("2ec12a31ee3818f9", "651510936916f194")),
     "lb-collision": (dict(kind="lb-collision", r=4, n=30, num_draws=12, trials=30),
-                     ("9e72f05919d2601f", "a2fc32ea3108e180")),
+                     ("9e72f05919d2601f", "4bde79917cd0790f")),
     "lb-tv": (dict(kind="lb-tv", r=4, n=30, num_draws=12, trials=60),
               ("0c2dc2c55e19fb61", "1ebbefa2ec2c4a18")),
     # one leaf pair, whose accept base is always 0, at the smallest n
     "lb-collision-r1": (dict(kind="lb-collision", r=1, n=3, num_draws=5, trials=30),
-                        ("7c0f6841a58b9edf", "a6a5540b5c892517")),
+                        ("7c0f6841a58b9edf", "ea4cc3500d53553e")),
     # the benchmark's lower-bound instance size
     "lb-tv-r9": (dict(kind="lb-tv", r=9, n=1024, num_draws=3, trials=20),
                  ("3f53bda3331623e8", "de47786abeefde5c")),
     "scenario": (dict(kind="scenario", k=6, n=10, trials=15),
-                 ("be5cd3af9d95b3a9", "687f81da5ba87784")),
+                 ("be5cd3af9d95b3a9", "0582525f9da9aa8c")),
     "fs-dist-and2": (dict(kind="fs-dist", target="and2", num_draws=2000),
                      ("a6e3a9949f829c89", "0a32051da9aeb26b")),
     "fs-dist-random": (dict(kind="fs-dist", target="random", n=6, num_draws=5000),
@@ -533,6 +540,8 @@ class TestCsvWriter:
                 COLUMNS[kind], [])
             summary = read_summary(result.summary_path)
             assert summary["rows"] == "0" and summary["interval_halfwidth"] == "nan"
+            assert all(value == "nan" for key, value in summary.items()
+                       if key.startswith("interval_halfwidth_")), kind
             assert summary[summary["primary_metric"]] == "nan", kind
 
     def test_fs_dist_memory_peak(self, tmp_path):
@@ -640,6 +649,12 @@ class TestCli:
         # an r whose family cannot fit once reached 1 << r and exited 1
         "lb-tv --r 100000000000000000000 --n 1000 --num-draws 3",
         "fs-dist --target accept --r 22",
+        # r at its limits: one variable short of the r = 19 reject family,
+        # and r = 20, whose family needs 20 + 2^20 > N_AMBIENT_MAX variables
+        "lb-collision --r 19 --n 524306 --num-draws 3",
+        "lb-tv --r 19 --n 524306 --num-draws 3",
+        "lb-collision --r 20 --n 1048576 --num-draws 3",
+        "lb-tv --r 20 --n 1048576 --num-draws 3",
         # a per-trial draw budget past DRAWS_MAX once reached the samplers
         # and exited 1 (ValueError, ArrayMemoryError, OverflowError)
         "test-junta --target reject --r 2 --n 8 --k 100000000000000000000",
@@ -656,7 +671,7 @@ class TestCli:
                                         "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "config error" in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
+        assert not any(tmp_path.iterdir())  # neither the CSV nor its summary
 
     @pytest.mark.parametrize("out", ["", "dir", "file/x.csv"])
     def test_bad_out_paths_exit_two(self, tmp_path, capsys, monkeypatch, out):
@@ -694,6 +709,16 @@ class TestCli:
         code = cli_main(argv.split() + ["--n", str(N_AMBIENT_MAX), "--trials", "2",
                                         "--out", str(tmp_path / "x.csv")])
         assert code == 0
+
+    @pytest.mark.parametrize("kind", ["lb-collision", "lb-tv"])
+    def test_the_largest_reject_family_runs(self, tmp_path, capsys, kind):
+        # r + 2^r variables: the largest r whose family fits in N_AMBIENT_MAX
+        assert 19 + (1 << 19) == 524307 <= N_AMBIENT_MAX < 20 + (1 << 20)
+        out = tmp_path / "x.csv"
+        code = cli_main([kind, "--r", "19", "--n", "524307", "--num-draws", "3",
+                         "--trials", "2", "--out", str(out)])
+        assert code == 0
+        assert len(read_rows(out)) == 4
 
     @pytest.mark.parametrize("seed", [-2**63, 2**63 - 1])
     @pytest.mark.parametrize("argv", [
