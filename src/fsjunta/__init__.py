@@ -15,8 +15,6 @@ from .boolfn import (
     distance_to_k_junta,
     influence_direct,
     lift,
-    make_addressing,
-    make_constant,
     make_junta,
     make_parity,
     mask_from_vars,
@@ -31,7 +29,6 @@ from .boolfn import (
 from .fourier import (
     Spectrum,
     influence_spectral,
-    inverse_wht,
     parseval_check,
     projection_values,
     sign_projection,
@@ -48,11 +45,10 @@ from .oracles import (
     ExOracle,
     FsOracle,
     FsOracleError,
-    LabeledExample,
     derive_seed,
     make_rng,
 )
-from .stats import chernoff_halfwidth, chernoff_trials, chi_square_gof
+from .stats import chernoff_halfwidth, chi_square_gof
 from .testing import (
     TesterVerdict,
     junta_test,

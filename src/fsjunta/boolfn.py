@@ -39,10 +39,19 @@ class BudgetExceededError(RuntimeError):
     """An exhaustive scan would exceed its configured work budget."""
 
 
+def _as_index(value) -> int:
+    """``value`` as a Python int; ``TypeError`` unless it is an integer.
+    ``operator.index`` alone would read ``True`` as 1, so a bool is refused
+    first."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
+
+
 def mask_from_vars(variables: Iterable[int]) -> int:
     mask = 0
     for v in variables:
-        mask |= 1 << operator.index(v)
+        mask |= 1 << _as_index(v)
     return mask
 
 
@@ -127,34 +136,6 @@ class TruthTable:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def eval(self, x: int) -> int:
-        if not 0 <= x < (1 << self.n):
-            raise IndexError(f"input index {x} out of range for n={self.n}")
-        return int(self.values[x])
-
-    def to_text(self) -> str:
-        body = "".join("+" if v > 0 else "-" for v in self.values)
-        return f"n={self.n}\n{body}\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "TruthTable":
-        lines = text.strip().splitlines()
-        if len(lines) != 2 or not lines[0].startswith("n="):
-            raise ValueError("expected 'n=<int>' then one row of +/- characters")
-        n = int(lines[0][2:])
-        row = lines[1].strip()
-        if set(row) - {"+", "-"}:
-            raise ValueError("table row may only contain '+' and '-'")
-        vals = np.fromiter((1 if ch == "+" else -1 for ch in row),
-                           dtype=np.int8, count=len(row))
-        return cls(n, vals)
-
-
-def make_constant(n: int, sign: int = 1) -> TruthTable:
-    if sign not in (-1, 1):
-        raise ValueError("sign must be -1 or +1")
-    return TruthTable(n, np.full(1 << n, sign, dtype=np.int8))
-
 
 def make_parity(n: int, subset: int) -> TruthTable:
     """Product of the variables in ``subset``; the empty product is +1."""
@@ -179,7 +160,7 @@ class JuntaSpec:
     inner: TruthTable
 
     def __post_init__(self):
-        rel = tuple(operator.index(v) for v in self.relevant)
+        rel = tuple(_as_index(v) for v in self.relevant)
         object.__setattr__(self, "relevant", rel)
         if self.n < 1:
             raise ValueError("ambient variable count must be positive")
@@ -239,22 +220,6 @@ def _addressing_table(r: int, n: int, slots, signs) -> TruthTable:
     return TruthTable(n, vals.reshape(-1))
 
 
-def make_addressing(r: int) -> TruthTable:
-    """Selector on r + 2^r variables: the first r variables form an address
-    and the output is the addressed variable among the remaining 2^r.
-
-    All address variables equal to -1 selects the last addressee; all equal
-    to +1 selects the first.
-    """
-    if r < 1:
-        raise ValueError("need r >= 1")
-    big_r = 1 << r
-    n = r + big_r
-    if n > N_MAX:
-        raise ValueError(f"addressing on r={r} needs {n} > {N_MAX} variables")
-    return realize_reject(RejectInstance(r, n, np.arange(big_r)))
-
-
 def _as_integers(values) -> np.ndarray:
     """``values`` as an array; ``TypeError`` unless every element is an
     integer, since a cast to int64 would truncate a float and read a bool
@@ -268,8 +233,7 @@ def _as_integers(values) -> np.ndarray:
     if arr.dtype.kind not in "iuO":
         raise TypeError(f"expected integers, got an array of dtype {arr.dtype}")
     for value in np.asarray(values, dtype=object).flat:
-        if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
-            raise TypeError(f"expected integers, got {value!r}")
+        _as_index(value)
     return arr
 
 
@@ -378,7 +342,13 @@ def sample_accept_instance(r: int, n: int, rng: np.random.Generator) -> AcceptIn
 
 
 def realize_reject(inst: RejectInstance) -> TruthTable:
-    """Full truth table of a reject instance (variable r+j carries slot j)."""
+    """Full truth table of a reject instance (variable r+j carries slot j).
+
+    The first r variables form an address and the output is the variable
+    wired to the addressed leaf: all address variables equal to -1 select
+    the last leaf, ``tau[2^r - 1]``; all equal to +1 select the first,
+    ``tau[0]``.
+    """
     return _addressing_table(inst.r, inst.n, inst.tau,
                              np.ones(1 << inst.r, dtype=np.int64))
 

@@ -48,15 +48,6 @@ class Spectrum:
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
-    def coefficient(self, subset: int) -> Fraction:
-        """The unscaled coefficient for ``subset``, an exact rational."""
-        return Fraction(int(self.coeffs[subset]), 1 << self.n)
-
-    def to_text(self) -> str:
-        """Debug dump: one ``mask<TAB>value`` line per nonzero entry."""
-        nz = np.flatnonzero(self.coeffs)
-        return "".join(f"{int(m)}\t{int(self.coeffs[m])}\n" for m in nz)
-
 
 def _exact_sum_squares(arr: np.ndarray) -> int:
     arr = np.ascontiguousarray(arr, dtype=np.int64)
@@ -77,20 +68,6 @@ def wht(f: TruthTable) -> Spectrum:
     2^24, up to n = 23, and in float64, exact below 2^53, at n = 24.
     """
     return Spectrum(f.n, _kernels.wht(f.values))
-
-
-def inverse_wht(sp: Spectrum) -> TruthTable:
-    """Reconstruct the table: the transform is its own inverse up to 2^n.
-
-    Same blocked products as :func:`wht`; coefficients are at most 2^n, so
-    every partial sum is at most ``max|coeffs| * 2^n <= 4^n <= 2^48``: in
-    float32 when that is below 2^24 (always up to n = 11), else in float64.
-    """
-    work = _kernels.wht(sp.coeffs)
-    size = 1 << sp.n
-    if np.any(work % size):
-        raise ValueError("spectrum is not the transform of a table")
-    return TruthTable(sp.n, (work // size).astype(np.int8))
 
 
 def parseval_check(sp: Spectrum) -> bool:

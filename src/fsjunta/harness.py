@@ -25,7 +25,6 @@ own rows, for lb-collision and scenario), and timing.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -34,9 +33,9 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .boolfn import (N_MAX, JuntaSpec, TruthTable, make_parity, mask_from_vars,
-                     random_junta_spec, random_table, realize_accept, realize_reject,
-                     sample_accept_instance, sample_reject_instance)
+from .boolfn import (N_MAX, JuntaSpec, TruthTable, _as_index, make_parity,
+                     mask_from_vars, random_junta_spec, random_table, realize_accept,
+                     realize_reject, sample_accept_instance, sample_reject_instance)
 from ._kernels import decimal_cells
 from .fourier import wht
 from .learning import hypothesis_error, learn_junta, stage_one_draws
@@ -124,9 +123,7 @@ def _parse(kind: type, value):
     """A field's value from its text, or from a value of the field's type.
     An int field refuses floats, integral ones too, and bools."""
     if kind is int and not isinstance(value, str):
-        if isinstance(value, bool):
-            raise TypeError("a bool is not an integer")
-        return operator.index(value)
+        return _as_index(value)
     return kind(value)
 
 

@@ -24,13 +24,12 @@ example at a time.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import (N_MAX, JuntaSpec, TruthTable, as_junta, lift,
+from .boolfn import (N_MAX, JuntaSpec, TruthTable, _as_index, as_junta, lift,
                      project_assignments)
 from .oracles import DRAWS_MAX, ExOracle, FsOracle
 
@@ -55,7 +54,7 @@ class Hypothesis:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(operator.index(v) for v in self.vars))
+        object.__setattr__(self, "vars", tuple(_as_index(v) for v in self.vars))
         if any(b <= a for a, b in zip(self.vars, self.vars[1:])):
             raise ValueError("variables must be strictly increasing")
         arr = np.asarray(self.entries)
@@ -66,18 +65,6 @@ class Hypothesis:
         arr = arr.astype(np.int8, copy=True)
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
-
-    def eval_index(self, x: int) -> int:
-        if x < 0:
-            raise ValueError(f"input index {x} must be non-negative")
-        cell = int(self.entries[project_assignments(x, self.vars)])
-        return -1 if cell == UNSEEN else cell
-
-    def values_on(self, n: int) -> np.ndarray:
-        """Dense evaluation over all 2^n inputs."""
-        if self.vars and self.vars[-1] >= n:
-            raise ValueError("hypothesis reads variables beyond n")
-        return lift(self._filled(), self.vars, n).reshape(-1)
 
     def _filled(self) -> np.ndarray:
         """Entries with unseen cells set to their value, -1."""

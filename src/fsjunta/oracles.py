@@ -44,7 +44,7 @@ prefix sums among the keys gives every count, with no per-draw mask.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -210,11 +210,6 @@ def pcg64_states(seeds: list[int]) -> Iterator[dict]:
                "has_uint32": 0, "uinteger": 0}
 
 
-class LabeledExample(NamedTuple):
-    x: int
-    y: int
-
-
 class FsOracleError(ValueError):
     """The oracle would not sample a probability distribution."""
 
@@ -238,9 +233,9 @@ class ExOracle:
         self._batch_state = None
         self._batch_size = 0
 
-    def draw(self) -> LabeledExample:
+    def draw(self) -> tuple[int, int]:
         xs, ys = self.draw_batch(1)
-        return LabeledExample(int(xs[0]), int(ys[0]))
+        return int(xs[0]), int(ys[0])
 
     def draw_batch(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """m examples as (int64 inputs, int8 labels). A batch of m draws

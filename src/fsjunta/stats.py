@@ -6,20 +6,9 @@ import math
 import numpy as np
 
 
-def chernoff_trials(lam: float, delta: float) -> int:
-    """Smallest m with 2 exp(-2 lam^2 m) <= delta for [0,1]-valued outcomes,
-    i.e. enough i.i.d. trials to pin a mean within lam at confidence
-    1 - delta."""
-    if not 0 < lam < 1:
-        raise ValueError("precision must be in (0, 1)")
-    if not 0 < delta <= 1:
-        raise ValueError("failure probability must be in (0, 1]")
-    return max(1, math.ceil(math.log(2 / delta) / (2 * lam * lam)))
-
-
 def chernoff_halfwidth(m: int, delta: float) -> float:
     """Two-sided deviation lam such that m trials fail it with probability
-    at most delta; the inverse of :func:`chernoff_trials`."""
+    at most delta."""
     if m < 1:
         raise ValueError("need at least one trial")
     if not 0 < delta <= 1:

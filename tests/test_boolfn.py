@@ -15,8 +15,6 @@ from fsjunta import (
     distance_to_k_junta,
     influence_direct,
     lift,
-    make_addressing,
-    make_constant,
     make_junta,
     make_parity,
     mask_from_vars,
@@ -44,6 +42,11 @@ from reference import (
 AND2 = TruthTable(2, np.array([1, 1, 1, -1], dtype=np.int8))
 
 
+def identity_reject(r):
+    """The addressing selector: leaf j wired to non-address variable j."""
+    return realize_reject(RejectInstance(r, r + 2**r, range(2**r)))
+
+
 def rand_tables(seed, count, n):
     rng = np.random.default_rng(seed)
     return [random_table(n, rng) for _ in range(count)]
@@ -51,15 +54,15 @@ def rand_tables(seed, count, n):
 
 class TestTruthTable:
     def test_constant_true_evaluates_to_minus_one_everywhere(self):
-        f = make_constant(3, -1)
+        f = TruthTable(3, np.full(1 << 3, -1, np.int8))
         for x in range(8):
-            assert f.eval(x) == -1
+            assert int(f.values[x]) == -1
 
     def test_single_variable_parity_n1(self):
         f = make_parity(1, 0b1)
         # index 1 encodes x_0 = -1
-        assert f.eval(1) == -1
-        assert f.eval(0) == 1
+        assert int(f.values[1]) == -1
+        assert int(f.values[0]) == 1
 
     def test_and2_all_four_inputs(self):
         # enumerate the definition: -1 iff both variables are -1
@@ -67,11 +70,7 @@ class TestTruthTable:
             x0 = 1 - 2 * (x & 1)
             x1 = 1 - 2 * ((x >> 1) & 1)
             expected = -1 if (x0 == -1 and x1 == -1) else 1
-            assert AND2.eval(x) == expected
-
-    def test_eval_out_of_range(self):
-        with pytest.raises(IndexError):
-            AND2.eval(4)
+            assert int(AND2.values[x]) == expected
 
     def test_rejects_non_pm1_entries(self):
         with pytest.raises(ValueError):
@@ -84,16 +83,6 @@ class TestTruthTable:
     def test_values_are_immutable(self):
         with pytest.raises(ValueError):
             AND2.values[0] = -1
-
-    def test_text_round_trip(self):
-        rng = np.random.default_rng(7)
-        f = random_table(5, rng)
-        again = TruthTable.from_text(f.to_text())
-        assert again.n == 5
-        assert np.array_equal(again.values, f.values)
-
-    def test_text_format(self):
-        assert AND2.to_text() == "n=2\n+++-\n"
 
 
 class TestParity:
@@ -108,8 +97,8 @@ class TestParity:
     def test_value_flips_exactly_with_member_bit(self):
         f = make_parity(3, 0b010)
         for x in range(8):
-            assert f.eval(x) == -f.eval(x ^ 0b010)
-            assert f.eval(x) == f.eval(x ^ 0b101)
+            assert f.values[x] == -f.values[x ^ 0b010]
+            assert f.values[x] == f.values[x ^ 0b101]
 
     def test_mask_helpers_round_trip(self):
         assert vars_from_mask(mask_from_vars([0, 3, 7])) == (0, 3, 7)
@@ -120,6 +109,8 @@ class TestParity:
         assert mask_from_vars(np.array([1, 70], dtype=np.int64)) == (1 << 1) | (1 << 70)
         with pytest.raises(TypeError):  # would truncate to bit 1
             mask_from_vars([1.9])
+        with pytest.raises(TypeError):  # would read as bit 1
+            mask_from_vars([True])
 
     @pytest.mark.parametrize("bits", [(), (0,), (62,), (63,), (64,), (1023,),
                                       (0, 62, 63, 64, 1023), (5, 700, 701)])
@@ -174,6 +165,8 @@ class TestJunta:
         assert spec.relevant == (1, 4) and all(type(v) is int for v in spec.relevant)
         with pytest.raises(TypeError):  # would truncate to (0, 2)
             JuntaSpec(6, (0.9, 2.5), inner)
+        with pytest.raises(TypeError):  # would read as (1,)
+            JuntaSpec(3, (True,), make_parity(1, 0b1))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 4), st.integers(5, 8))
@@ -187,31 +180,31 @@ class TestJunta:
 
 class TestAddressing:
     def test_all_negative_address_reads_last_slot(self):
-        f = make_addressing(3)
+        f = identity_reject(3)
         all_neg = 0b111
-        assert f.eval(all_neg | (1 << 10)) == -1  # z7 = -1
-        assert f.eval(all_neg) == 1               # z7 = +1
+        assert int(f.values[all_neg | (1 << 10)]) == -1  # z7 = -1
+        assert int(f.values[all_neg]) == 1               # z7 = +1
 
     def test_all_positive_address_reads_first_slot(self):
-        f = make_addressing(3)
-        assert f.eval(1 << 3) == -1  # z0 = -1
-        assert f.eval(0) == 1
+        f = identity_reject(3)
+        assert int(f.values[1 << 3]) == -1  # z0 = -1
+        assert int(f.values[0]) == 1
 
     def test_r1_full_table(self):
-        f = make_addressing(1)
+        f = identity_reject(1)
         # variables: x0 selects; z0 is variable 1, z1 is variable 2
         assert np.array_equal(f.values, [1, 1, -1, 1, 1, -1, -1, -1])
 
     def test_selected_slot_always_matches(self):
-        f = make_addressing(2)
+        f = identity_reject(2)
         for x in range(1 << 6):
             addr = (((x >> 0) & 1) << 1) | ((x >> 1) & 1)
             expected = 1 - 2 * ((x >> (2 + addr)) & 1)
-            assert f.eval(x) == expected
+            assert int(f.values[x]) == expected
 
     def test_too_large_r_rejected(self):
         with pytest.raises(ValueError):
-            make_addressing(5)
+            identity_reject(5)
 
 
 class TestInstanceFamilies:
@@ -384,12 +377,6 @@ class TestAddressingReference:
     """The lift-based builders against the bit-gather reference."""
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
-    def test_make_addressing(self, r):
-        n = r + 2**r
-        expected = naive_realize_reject(RejectInstance(r, n, range(2**r)))
-        assert np.array_equal(make_addressing(r).values, expected)
-
-    @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_realize_reject(self, r):
         rng = np.random.default_rng(r)
         for n in (r + 2**r, 24):
@@ -419,7 +406,7 @@ class TestDistance:
 
     def test_mismatched_arity_rejected(self):
         with pytest.raises(ValueError):
-            distance(AND2, make_constant(3))
+            distance(AND2, TruthTable(3, np.full(1 << 3, 1, np.int8)))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(2, 6))
@@ -438,7 +425,7 @@ class TestDistance:
 
 class TestInfluence:
     def test_constant_has_no_influence(self):
-        assert influence_direct(make_constant(4), 2) == 0
+        assert influence_direct(TruthTable(4, np.full(1 << 4, 1, np.int8)), 2) == 0
 
     def test_parity_member_flips_always(self):
         f = make_parity(4, 0b1010)

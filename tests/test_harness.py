@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import fsjunta
-from fsjunta import chernoff_halfwidth, chernoff_trials, chi_square_gof
+from fsjunta import chernoff_halfwidth, chi_square_gof
 from fsjunta.cli import _assemble, build_parser
 from fsjunta.cli import main as cli_main
 from fsjunta.learning import stage_one_draws
@@ -74,28 +74,16 @@ def read_summary(path):
 
 
 class TestChernoffSizing:
-    def test_point_one_at_five_percent(self):
-        assert chernoff_trials(0.1, 0.05) == 185
-
-    def test_wide_precision_trivial_delta(self):
-        assert chernoff_trials(0.5, 1.0) == 2
-
-    def test_monotone_in_precision(self):
-        sizes = [chernoff_trials(lam, 0.05)
-                 for lam in (0.05, 0.1, 0.2, 0.4, 0.8)]
-        assert sizes == sorted(sizes, reverse=True)
-        assert len(set(sizes)) == len(sizes)
-
     def test_halfwidth_inverts_the_sizing(self):
-        m = chernoff_trials(0.1, 0.05)
-        assert chernoff_halfwidth(m, 0.05) <= 0.1
-        assert chernoff_halfwidth(m - 1, 0.05) > 0.1
+        # 185 is the smallest m with 2 exp(-2 (0.1)^2 m) <= 0.05.
+        assert chernoff_halfwidth(185, 0.05) <= 0.1
+        assert chernoff_halfwidth(184, 0.05) > 0.1
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
-            chernoff_trials(0.0, 0.05)
+            chernoff_halfwidth(0, 0.05)
         with pytest.raises(ValueError):
-            chernoff_trials(0.1, 0.0)
+            chernoff_halfwidth(10, 0.0)
 
 
 class TestChiSquare:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fsjunta import TruthTable, _kernels, inverse_wht, random_table, wht
+from fsjunta import TruthTable, _kernels, random_table, wht
 from fsjunta.oracles import make_rng
 
 from reference import butterfly_wht, naive_best_junta_errors, naive_cell_sums
@@ -115,7 +115,6 @@ def test_wht_matches_the_integer_butterfly_on_tables_and_round_trips():
                               expected)
         sp = wht(table)
         assert np.array_equal(sp.coeffs, expected)
-        assert np.array_equal(inverse_wht(sp).values, table.values)
         doubled = butterfly_wht(expected.copy())
         assert np.array_equal(_kernels.wht(sp.coeffs), doubled)
         assert np.array_equal(doubled, table.values.astype(np.int64) << n)

@@ -16,7 +16,6 @@ from fsjunta import (
     hypothesis_error,
     influence_direct,
     learn_junta,
-    make_constant,
     make_junta,
     make_parity,
     make_rng,
@@ -67,7 +66,8 @@ class ScriptedEx:
 
 class TestFindInfluential:
     def test_constant_target_yields_nothing(self):
-        fs = FsOracle.from_table(make_constant(6, 1), make_rng(0, "c"))
+        fs = FsOracle.from_table(TruthTable(6, np.full(1 << 6, 1, np.int8)),
+                                 make_rng(0, "c"))
         assert find_influential(fs, 3, 0.1) == ()
 
     def test_two_variable_parity_found_exactly(self):
@@ -124,15 +124,14 @@ class TestLearnJunta:
         assert report.ex_calls == ex.calls
 
     def test_constant_true_target(self):
-        table = make_constant(8, -1)
+        table = TruthTable(8, np.full(1 << 8, -1, np.int8))
         fs = FsOracle.from_table(table, make_rng(1, "fs"))
         ex = ExOracle(table, make_rng(1, "ex"))
         report = learn_junta(fs, ex, 3, 0.1)
         assert report.status == SUCCESS
         assert report.hypothesis.vars == ()
         assert report.ex_calls == 1
-        assert np.array_equal(report.hypothesis.values_on(8),
-                              np.full(256, -1, dtype=np.int8))
+        assert report.hypothesis.entries.tolist() == [-1]
         assert hypothesis_error(table, report.hypothesis) == 0
 
     def test_random_juntas_end_to_end(self):
@@ -193,8 +192,7 @@ class TestLearnJunta:
                 continue
             seen_cells.add(cell)
             replay_stream.append(example)  # duplicate of a seen cell
-        from fsjunta.oracles import LabeledExample
-        scripted = ScriptedEx([LabeledExample(*e) for e in replay_stream])
+        scripted = ScriptedEx(replay_stream)
         fs2 = FsOracle.for_parity(6, 0b11, make_rng(5, "fs"))
         again = learn_junta(fs2, scripted, 2, 0.1)
         assert scripted.cursor == again.ex_calls <= len(replay_stream)
@@ -271,7 +269,8 @@ class TestChunkedStageTwo:
             n = int(rng.choice([max(size, 1) + 2, 20, 32, 33, 62]))
             eps = float(rng.choice([0.1, 0.3, 0.6, 1.0]))
             if size == 0:
-                spec = as_junta(make_constant(6, int(rng.choice([-1, 1]))))
+                sign = int(rng.choice([-1, 1]))
+                spec = as_junta(TruthTable(6, np.full(1 << 6, sign, np.int8)))
             else:
                 spec = random_junta_spec(n, size, rng)
             k = max(size, 1)
@@ -390,7 +389,8 @@ class TestSpecScoring:
         assert hypothesis_error(spec, Hypothesis((7,), np.array([1, 1]))) == Fraction(1, 4)
 
     def test_union_past_the_table_cap_is_refused(self):
-        spec = JuntaSpec(60, tuple(range(N_MAX)), make_constant(N_MAX, 1))
+        spec = JuntaSpec(60, tuple(range(N_MAX)),
+                         TruthTable(N_MAX, np.full(1 << N_MAX, 1, np.int8)))
         h = Hypothesis((N_MAX,), np.array([1, 1], dtype=np.int8))
         with pytest.raises(ValueError):
             hypothesis_error(spec, h)
@@ -409,22 +409,11 @@ class TestHypothesis:
 
     def test_empty_unseen_hypothesis_against_constant_false(self):
         h = Hypothesis((), np.array([UNSEEN], dtype=np.int8))
-        assert hypothesis_error(make_constant(3, 1), h) == 1
+        assert hypothesis_error(TruthTable(3, np.full(1 << 3, 1, np.int8)), h) == 1
 
     def test_single_variable_all_true_against_and2(self):
         h = Hypothesis((0,), np.array([1, 1], dtype=np.int8))
         assert hypothesis_error(AND2, h) == Fraction(1, 4)
-
-    def test_eval_index_uses_the_default_on_unseen(self):
-        h = Hypothesis((1,), np.array([UNSEEN, 1], dtype=np.int8))
-        assert h.eval_index(0b00) == -1
-        assert h.eval_index(0b10) == 1
-
-    def test_eval_index_refuses_a_negative_index(self):
-        # -1 once read the all-ones cell
-        h = Hypothesis((0, 2), np.array([1, -1, 1, -1], dtype=np.int8))
-        with pytest.raises(ValueError):
-            h.eval_index(-1)
 
     def test_text_round_trip(self):
         h = Hypothesis((0, 3), np.array([1, UNSEEN, -1, 1], dtype=np.int8))
@@ -448,6 +437,8 @@ class TestHypothesis:
             Hypothesis((0,), np.array([1], dtype=np.int8))
         with pytest.raises(TypeError):  # would truncate to vars (0,)
             Hypothesis((0.7,), np.array([1, -1]))
+        with pytest.raises(TypeError):  # would read as vars (1,)
+            Hypothesis((True,), np.array([1, -1]))
         assert Hypothesis(np.array([2]), np.array([1, -1])).vars == (2,)
         with pytest.raises(ValueError):
             hypothesis_error(AND2, Hypothesis((5,), np.array([1, 1], dtype=np.int8)))

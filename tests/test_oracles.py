@@ -15,7 +15,6 @@ from fsjunta import (
     TruthTable,
     chi_square_gof,
     derive_seed,
-    make_constant,
     make_junta,
     make_parity,
     make_rng,
@@ -193,9 +192,9 @@ class TestFsFromSpectrum:
 
 class TestClassicalOracles:
     def test_ex_labels_match_the_table(self):
-        f = make_constant(4, -1)
+        f = TruthTable(4, np.full(1 << 4, -1, np.int8))
         ex = ExOracle(f, make_rng(0, "ex"))
-        assert all(ex.draw().y == -1 for _ in range(50))
+        assert all(ex.draw()[1] == -1 for _ in range(50))
 
     def test_ex_marginal_is_uniform(self):
         ex = ExOracle(make_parity(4, 0b1), make_rng(1, "exu"))
@@ -292,7 +291,7 @@ class TestExUnread:
         kept = np.concatenate([a, b[:3], c[:15]])
 
         ref, ref_rng = self.oracle(n, seed=3)
-        one_by_one = [ref.draw().x for _ in range(28)]
+        one_by_one = [ref.draw()[0] for _ in range(28)]
         scalar = make_rng(3, "unread")
         assert kept.tolist() == one_by_one == [
             int(scalar.integers(0, 1 << n)) for _ in range(28)]

@@ -6,11 +6,11 @@ import pytest
 
 from fsjunta import (
     FsOracle,
+    TruthTable,
     chi_square_gof,
     influence_direct,
     influence_spectral,
     junta_test,
-    make_constant,
     make_rng,
     random_junta_spec,
     sample_accept_instance,
@@ -97,7 +97,8 @@ class TestJuntaTest:
             junta_test(fs, 2, 0.0)
 
     def test_constant_function_always_accepted_even_at_k_zero(self):
-        fs = FsOracle.from_table(make_constant(4, -1), make_rng(0, "c"))
+        fs = FsOracle.from_table(TruthTable(4, np.full(1 << 4, -1, np.int8)),
+                                 make_rng(0, "c"))
         assert junta_test(fs, 0, 0.1).decision == ACCEPT
 
 
@@ -145,7 +146,8 @@ class TestScenarios:
         assert fs.calls == math.ceil(8 * math.log2(16))
 
     def test_degenerate_constant_guesses_scenario_two(self):
-        fs = FsOracle.from_table(make_constant(4, 1), make_rng(0, "dg"))
+        fs = FsOracle.from_table(TruthTable(4, np.full(1 << 4, 1, np.int8)),
+                                 make_rng(0, "dg"))
         assert scenario_distinguisher(fs, 2) == SCENARIO_II
 
     def test_bad_scenario_name(self):
