@@ -87,13 +87,21 @@ class TestWht:
         assert live == 1 << (2 * r - 2)
 
     def test_double_transform_scales_by_table_size(self):
-        # A parity's one nonzero coefficient is 2^n, so the second
-        # transform's partial sums reach 4^n, which is float64 from n = 12.
+        rng = np.random.default_rng(9)
+        f = random_table(6, rng)
+        twice = _kernels.wht(wht(f).coeffs)
+        assert np.array_equal(twice, f.values.astype(np.int64) * 64)
+
+    def test_inverse_round_trip(self):
+        # The transform is its own inverse up to 2^n. A parity's one nonzero
+        # coefficient is 2^n, so the second transform's partial sums reach
+        # 4^n, which is float64 from n = 12.
         rng = np.random.default_rng(13)
         tables = [random_table(n, rng) for n in (1, 3, 6, 9)]
         tables += [make_parity(n, (1 << n) - 1) for n in (11, 12)]
         for f in tables:
             twice = _kernels.wht(wht(f).coeffs)
+            assert np.array_equal(twice >> f.n, f.values)
             assert np.array_equal(twice, f.values.astype(np.int64) << f.n)
 
     @settings(max_examples=25, deadline=None)
