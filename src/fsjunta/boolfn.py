@@ -10,7 +10,9 @@ Conventions used throughout the package:
   ``i`` on axis ``n-1-i``. :func:`lift` broadcasts a table over a subset of
   the variables to all ``n`` of them on that layout, and
   :func:`fsjunta._kernels.cell_sums` is its adjoint, summing out the other
-  axes; neither gathers bits index by index.
+  axes; neither gathers bits index by index. On indices and masks,
+  :func:`project_assignments` and its inverse :func:`deposit_assignments`
+  move bits by one shift per run of consecutive positions.
 
 Tables are capped at ``N_MAX`` variables so every table and spectrum stays
 dense and exact; larger ambient dimensions are served by the analytic
@@ -83,23 +85,40 @@ def _indices(n: int) -> np.ndarray:
     return np.arange(1 << n, dtype=np.int64)
 
 
+def _shift_runs(positions: Sequence[int]) -> dict[int, int]:
+    """Each shift ``positions[t] - t`` mapped to the mask of the bits ``t``
+    that move by it: one entry per run of consecutive positions, since
+    strictly increasing positions never decrease the shift."""
+    runs: dict[int, int] = {}
+    for t, p in enumerate(positions):
+        shift = int(p) - t
+        runs[shift] = runs.get(shift, 0) | (1 << t)
+    return runs
+
+
 def project_assignments(indices: np.ndarray, positions: Sequence[int]) -> np.ndarray:
     """Project table indices onto the given variable positions.
 
     Bit ``t`` of the result is the input's bit at ``positions[t]``, so the
     projected value indexes a table over just those variables. Positions
-    must be strictly increasing, as for :func:`lift`; then
-    ``positions[t] - t`` never decreases, and every run of consecutive
-    positions moves with one shift and one mask.
+    must be strictly increasing, as for :func:`lift`; every run of
+    consecutive positions moves with one shift and one mask.
     """
-    runs: dict[int, int] = {}
-    for t, p in enumerate(positions):
-        shift = int(p) - t
-        runs[shift] = runs.get(shift, 0) | (1 << t)
     proj = np.zeros(np.shape(indices), dtype=np.int64)
-    for shift, mask in runs.items():
+    for shift, mask in _shift_runs(positions).items():
         proj |= (indices >> shift) & mask
     return proj
+
+
+def deposit_assignments(inner: np.ndarray, positions: Sequence[int],
+                        dtype) -> np.ndarray:
+    """The inverse of :func:`project_assignments`: bit ``t`` of each int64
+    ``inner`` value moves to bit ``positions[t]`` of the result, as
+    ``dtype`` (``object`` for positions past bit 62), one run at a time."""
+    out = np.zeros(np.shape(inner), dtype=dtype)
+    for shift, mask in _shift_runs(positions).items():
+        out |= (inner & mask).astype(dtype, copy=False) << shift
+    return out
 
 
 def lift(values: np.ndarray, positions: Sequence[int], n: int) -> np.ndarray:
@@ -126,7 +145,7 @@ class TruthTable:
 
     def __post_init__(self):
         _check_n(self.n)
-        vals = np.asarray(self.values)
+        vals = _as_integers(self.values)
         if vals.shape != (1 << self.n,):
             raise ValueError(
                 f"table for n={self.n} needs {1 << self.n} entries, got shape {vals.shape}")

@@ -202,6 +202,8 @@ def validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         elif cfg.target not in _TARGETS[cfg.kind]:
             raise ConfigError(
                 f"{cfg.kind} target must be one of {_TARGETS[cfg.kind]}")
+    elif cfg.target is not None:
+        raise ConfigError(f"{cfg.kind} takes no target")
 
     if cfg.kind == "test-junta":
         if cfg.target in ("junta", "parity"):

@@ -29,8 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import (N_MAX, JuntaSpec, TruthTable, _as_index, as_junta, lift,
-                     project_assignments)
+from .boolfn import (N_MAX, JuntaSpec, TruthTable, _as_index, _as_integers,
+                     as_junta, lift, project_assignments)
 from .oracles import DRAWS_MAX, ExOracle, FsOracle
 
 #: Entry value marking a hypothesis cell that no example ever reached.
@@ -57,7 +57,7 @@ class Hypothesis:
         object.__setattr__(self, "vars", tuple(_as_index(v) for v in self.vars))
         if any(b <= a for a, b in zip(self.vars, self.vars[1:])):
             raise ValueError("variables must be strictly increasing")
-        arr = np.asarray(self.entries)
+        arr = _as_integers(self.entries)
         if arr.shape != (1 << len(self.vars),):
             raise ValueError("entry table must have one cell per assignment")
         if not np.all(np.isin(arr, (-1, UNSEEN, 1))):

@@ -8,9 +8,7 @@ The paper's two information sources are provided for a target function f:
 
 Because the squared coefficients of a table sum to exactly 4^n, a power of
 two, subset sampling reduces to one unbiased uniform integer draw per call
-plus a search over integer prefix sums; no draw is ever approximate. Each
-batch of draws is searched in sorted key order and its answers returned in
-draw order, which gives the same masks as searching every key on its own.
+plus a search over integer prefix sums; no draw is ever approximate.
 
 For the addressing-based instance families the subset distribution is known
 in closed form, so ``for_reject``/``for_accept`` sample it directly without
@@ -24,10 +22,10 @@ Every sampler keeps its masks in its own coordinates and moves them into
 the n ambient variables only at the boundary. A junta's sampler holds
 int64 masks over its k relevant variables plus the map to their ambient
 indices; the other samplers' coordinates are the ambient ones.
-``draw_batch`` lifts just the drawn masks, and ``draw_exposed``, the one
-call the tester, learner stage 1 and scenario distinguisher make, ORs the
-draws where they are and maps only the set bits of the union, so a junta's
-draws never build a wide mask at all.
+``draw_batch`` lifts just the drawn masks (``boolfn.deposit_assignments``),
+and ``draw_exposed``, the one call the tester, learner stage 1 and
+scenario distinguisher make, ORs the draws where they are and maps only
+the set bits of the union, so a junta's draws never build a wide mask.
 
 A union ignores order and stops growing once it covers the sampler's
 support. So the weight samplers (``from_spectrum``, ``from_table``,
@@ -54,6 +52,7 @@ from .boolfn import (
     RejectInstance,
     TruthTable,
     as_junta,
+    deposit_assignments,
     project_assignments,
     union_mask,
     vars_from_mask,
@@ -83,33 +82,6 @@ _UNION_PREFIX = 64
 def mask_dtype(n: int) -> np.dtype:
     """dtype of a batch of subset masks over n variables."""
     return np.dtype(np.int64 if n <= _MASK64_BITS else object)
-
-
-def lift_tables(relevant, n: int) -> tuple[np.ndarray, ...]:
-    """Lookup tables for :func:`lift_masks`: one per 8-bit chunk of the
-    inner masks, whose entry b is the lifted mask of that chunk's bits b."""
-    dtype = mask_dtype(n)
-    tables = []
-    for lo in range(0, len(relevant), 8):
-        table = np.zeros(1, dtype=dtype)
-        for p in relevant[lo:lo + 8]:
-            table = np.concatenate([table, table | (1 << p)])
-        tables.append(table)
-    return tuple(tables)
-
-
-def lift_masks(inner: np.ndarray, tables: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Inner subset masks moved into the ambient variables: bit t of each
-    int64 inner mask becomes bit ``relevant[t]``, through the tables that
-    ``lift_tables(relevant, n)`` built.
-
-    Each 8-bit chunk of the inner masks goes through one 256-entry lookup
-    table of lifted bits, so a batch costs one gather and OR per chunk.
-    """
-    lifted = tables[0][inner & 0xFF]
-    for chunk, table in enumerate(tables[1:], 1):
-        lifted |= table[(inner >> (8 * chunk)) & 0xFF]
-    return lifted
 
 
 def derive_seed(master: int, label: str, index: int = 0) -> int:
@@ -348,7 +320,6 @@ class FsOracle:
         self._sample_union = sample_union or (lambda m: union_mask(sample_batch(m)))
         self._sample_counts = sample_counts
         self._relevant = relevant
-        self._lift_tables = None  # built by the first draw that is lifted
 
     # -- constructors -----------------------------------------------------
 
@@ -414,13 +385,7 @@ class FsOracle:
 
         def sample_batch(m: int):
             u = rng.integers(0, total, size=m, dtype=np.int64)
-            # Sorted keys walk cum forwards with well-predicted branches: at
-            # 2.5 * 10^5 draws the sort plus this search cost about a third
-            # of searching the keys in draw order.
-            order = np.argsort(u)
-            idx = np.empty(m, dtype=np.intp)
-            idx[order] = np.searchsorted(cum, u[order], side="right")
-            return masks[idx]
+            return masks[np.searchsorted(cum, u, side="right")]
 
         support = None  # OR of every mask, formed by the first union draw
 
@@ -464,9 +429,7 @@ class FsOracle:
         """Masks in the sampler's own coordinates moved to the n variables."""
         if self._relevant is None:
             return masks
-        if self._lift_tables is None:
-            self._lift_tables = lift_tables(self._relevant, self.n)
-        return lift_masks(masks, self._lift_tables)
+        return deposit_assignments(masks, self._relevant, mask_dtype(self.n))
 
     def draw(self) -> int:
         self.calls += 1

@@ -75,6 +75,12 @@ class TestTruthTable:
     def test_rejects_non_pm1_entries(self):
         with pytest.raises(ValueError):
             TruthTable(1, np.array([1, 0], dtype=np.int8))
+        with pytest.raises(TypeError):  # True would read as +1, i.e. False
+            TruthTable(1, np.array([True, True]))
+        with pytest.raises(TypeError):  # would pass as -1 and +1
+            TruthTable(1, np.array([1.0, -1.0]))
+        with pytest.raises(TypeError):  # promoted to int64 by numpy
+            TruthTable(1, [1, True])
 
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError):

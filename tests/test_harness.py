@@ -653,6 +653,10 @@ class TestCli:
         "lb-tv --r 2 --n 8 --num-draws 100000000000000000000",
         f"lb-collision --r 2 --n 8 --num-draws {DRAWS_MAX + 1}",
         "scenario --k 3 --c 1e300",
+        # a target on a kind without target families was once ignored
+        "lb-tv --r 2 --n 6 --num-draws 3 --target junta",
+        "lb-collision --r 2 --n 6 --num-draws 3 --target reject",
+        "scenario --k 3 --target junta",
     ])
     def test_out_of_range_parameters_exit_two(self, tmp_path, capsys, argv):
         code = cli_main(argv.split() + ["--trials", "2",

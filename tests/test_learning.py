@@ -439,6 +439,10 @@ class TestHypothesis:
             Hypothesis((0.7,), np.array([1, -1]))
         with pytest.raises(TypeError):  # would read as vars (1,)
             Hypothesis((True,), np.array([1, -1]))
+        with pytest.raises(TypeError):  # False would read as UNSEEN
+            Hypothesis((0,), np.array([True, False]))
+        with pytest.raises(TypeError):  # would pass as +1 and -1
+            Hypothesis((0,), np.array([1.0, -1.0]))
         assert Hypothesis(np.array([2]), np.array([1, -1])).vars == (2,)
         with pytest.raises(ValueError):
             hypothesis_error(AND2, Hypothesis((5,), np.array([1, 1], dtype=np.int8)))

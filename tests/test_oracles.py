@@ -27,13 +27,11 @@ from fsjunta import (
     vars_from_mask,
     wht,
 )
-from fsjunta.boolfn import union_mask
+from fsjunta.boolfn import deposit_assignments, project_assignments, union_mask
 from fsjunta.oracles import (
     EX_N_MAX,
     accept_transcript,
     format_transcript,
-    lift_masks,
-    lift_tables,
     mask_dtype,
     masks_from_transcript,
     pcg64_states,
@@ -416,7 +414,8 @@ class TestLargeAmbientDimension:
         assert fs.draw_batch(0).dtype == dtype
 
 
-# k = 8 and 24 fill whole 8-bit chunks, 7, 9 and 12 end on a partial one
+# the top relevant variable is n - 1, so at n = 63 and 1024 some runs
+# deposit past bit 62, into Python ints
 LIFT_CASES = [(n, k) for n in (20, 62, 63, 1024) for k in (1, 7, 8, 9, 12, 24)
               if k <= n]
 
@@ -436,11 +435,13 @@ class TestMaskLift:
         else:
             inner = np.concatenate([[0, (1 << k) - 1],
                                     rng.integers(0, 1 << k, size=4000)])
-        lifted = lift_masks(inner, lift_tables(relevant, n))
+        lifted = deposit_assignments(inner, relevant, mask_dtype(n))
         assert lifted.dtype == mask_dtype(n) and lifted.shape == inner.shape
         assert lifted.tolist() == [naive_lift_mask(int(m), relevant) for m in inner]
         if lifted.dtype == object:
             assert all(type(mask) is int for mask in lifted)
+        else:
+            assert project_assignments(lifted, relevant).tolist() == inner.tolist()
 
     @pytest.mark.parametrize("n, k", [(n, k) for n, k in LIFT_CASES if k <= 12])
     def test_junta_draws_are_the_lifted_inner_draws(self, n, k):
@@ -673,28 +674,22 @@ class TestDrawExposed:
         assert rng.bit_generator.state == state
 
     def test_wide_junta_lifts_only_what_draw_batch_returns(self, monkeypatch):
-        lifted_sizes, built = [], []
-        lift, tables = oracles.lift_masks, oracles.lift_tables
+        lifted_sizes = []
+        deposit = oracles.deposit_assignments
 
-        def lift_spy(inner, *args):
+        def deposit_spy(inner, *args):
             lifted_sizes.append(len(inner))
-            return lift(inner, *args)
+            return deposit(inner, *args)
 
-        def tables_spy(*args):
-            built.append(args)
-            return tables(*args)
-
-        monkeypatch.setattr(oracles, "lift_masks", lift_spy)
-        monkeypatch.setattr(oracles, "lift_tables", tables_spy)
+        monkeypatch.setattr(oracles, "deposit_assignments", deposit_spy)
         fs = FsOracle.from_junta(wide_junta(1024), make_rng(4, "exposed"))
-        assert lifted_sizes == [] and built == []
+        assert lifted_sizes == []
         assert len(fs.draw_exposed(1300)) <= 12
-        assert lifted_sizes == [] and built == []
+        assert lifted_sizes == []
         assert fs.draw_batch(1300).dtype == object
         assert type(fs.draw()) is int
         assert fs.draw_batch(7).dtype == object
         assert lifted_sizes == [1300, 1, 7]
-        assert len(built) == 1  # the lookup tables are built once per oracle
 
     @staticmethod
     def spy_searches(monkeypatch):
