@@ -1,16 +1,14 @@
-"""Hot kernels in plain numpy: the Walsh-Hadamard transform, the fiber
-sums that are the adjoint of :func:`fsjunta.boolfn.lift`, the subset
-majority-vote scan built on them, and the decimal digit encoder behind
-the CSV writer.
+"""Hot kernels in plain numpy: the Walsh-Hadamard transform and the
+decimal digit encoder behind the CSV writer.
 
 Every result is exact. The transform applies H_{2^n} as a Kronecker
 product of Sylvester blocks of at most 64 x 64, one BLAS product per
 block, in the narrowest float type that holds every partial sum: every
 partial sum is an integer of magnitude at most ``max|a| * 2^n``, which
 float32 holds exactly below 2^24 and float64 below 2^53, whatever order
-BLAS adds in; the transform refuses any input at 2^53 or above. The fiber
-sums work in int64, the digit encoder in uint32 (uint64 for a column whose
-largest value is 2^32 or more) with its digits split in uint8.
+BLAS adds in; the transform refuses any input at 2^53 or above. The digit
+encoder works in uint32 (uint64 for a column whose largest value is 2^32 or
+more) with its digits split in uint8.
 ``e2ebench/run.py`` times them end to end, inside the experiments that
 use them.
 """
@@ -85,38 +83,6 @@ def wht(values: np.ndarray) -> np.ndarray:
         src, dst = dst, src
         done += bits
     return src.astype(np.int64)
-
-
-def cell_sums(values: np.ndarray, positions) -> np.ndarray:
-    """Sum a length-2^n table over each assignment's fiber.
-
-    Entry ``a`` of the result is the sum of ``values[x]`` over the inputs
-    ``x`` whose bits at the strictly increasing ``positions`` spell ``a``
-    (bit ``t`` of ``a`` is bit ``positions[t]`` of ``x``). It is the adjoint
-    of :func:`fsjunta.boolfn.lift`: on the ``(2,)*n`` layout, where variable
-    ``i`` is axis ``n-1-i``, it sums out the axes of the other variables.
-    """
-    n = values.shape[0].bit_length() - 1
-    kept = {n - 1 - int(p) for p in positions}
-    dropped = [axis for axis in range(n) if axis not in kept]
-    cube = values.astype(np.int64).reshape((2,) * n)
-    # One axis at a time, outermost first: each sum then runs over long
-    # contiguous blocks, about ten times faster than one multi-axis sum.
-    for removed, axis in enumerate(dropped):
-        cube = cube.sum(axis=axis - removed)
-    return np.asarray(cube).reshape(-1)
-
-
-def junta_errors(values: np.ndarray, positions: np.ndarray) -> int:
-    """Disagreement count between ``values`` and its closest function that
-    depends only on the variables listed in ``positions``.
-
-    Per assignment to ``positions`` the closest function takes the majority
-    value over the fiber, so the count is ``sum_cell min(#-1, #+1)``.
-    """
-    neg = cell_sums(values < 0, positions)
-    fiber = values.shape[0] >> positions.shape[0]
-    return int(np.minimum(neg, fiber - neg).sum())
 
 
 def decimal_cells(values: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .boolfn import TruthTable, _as_integers, _check_n
+from .boolfn import TruthTable, _as_index, _as_integers, _check_n
 
 # Chunk length for exact int64 sums of squares: 2^14 terms of at most 2^48
 # each stay below 2^62, so no chunk can overflow before it is folded into
@@ -77,7 +77,7 @@ def parseval_check(sp: Spectrum) -> bool:
 
 def influence_spectral(sp: Spectrum, i: int) -> Fraction:
     """Spectral weight on subsets containing variable ``i``, exact."""
-    if not 0 <= i < sp.n:
+    if not 0 <= _as_index(i) < sp.n:
         raise IndexError(f"variable {i} out of range for n={sp.n}")
     # Masks with bit i set are the upper half of each block of 2^(i+1).
     with_bit = sp.coeffs.reshape(-1, 1 << (i + 1))[:, (1 << i):]
@@ -92,7 +92,7 @@ def projection_values(f: TruthTable, subset: int) -> np.ndarray:
     in ``subset``). The second transform reads the masked coefficients,
     with partial sums at most 4^n <= 2^48.
     """
-    if not 0 <= subset < (1 << f.n):
+    if not 0 <= _as_index(subset) < (1 << f.n):
         raise ValueError("subset mask out of range")
     masks = np.arange(1 << f.n, dtype=np.int64)
     masked = np.where((masks | subset) == subset, wht(f).coeffs, 0)

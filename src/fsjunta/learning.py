@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import (N_MAX, JuntaSpec, TruthTable, _as_index, _as_integers,
+from .boolfn import (N_MAX, JuntaSpec, TruthTable, _as_integers, _positions,
                      as_junta, lift, project_assignments)
 from .oracles import DRAWS_MAX, ExOracle, FsOracle
 
@@ -54,9 +54,7 @@ class Hypothesis:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vars", tuple(_as_index(v) for v in self.vars))
-        if any(b <= a for a, b in zip(self.vars, self.vars[1:])):
-            raise ValueError("variables must be strictly increasing")
+        object.__setattr__(self, "vars", _positions(self.vars))
         arr = _as_integers(self.entries)
         if arr.shape != (1 << len(self.vars),):
             raise ValueError("entry table must have one cell per assignment")
@@ -184,8 +182,7 @@ def hypothesis_error(f: TruthTable | JuntaSpec, hypothesis: Hypothesis) -> Fract
     and the fraction is exact. A table is the junta on all its variables.
     """
     spec = as_junta(f)
-    if hypothesis.vars and hypothesis.vars[-1] >= spec.n:
-        raise ValueError("hypothesis reads variables beyond n")
+    _positions(hypothesis.vars, spec.n)  # refuses hypothesis variables beyond n
     union = sorted(set(spec.relevant) | set(hypothesis.vars))
     if len(union) > N_MAX:
         raise ValueError(

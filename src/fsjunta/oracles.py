@@ -51,6 +51,7 @@ from .boolfn import (
     JuntaSpec,
     RejectInstance,
     TruthTable,
+    _as_index,
     as_junta,
     deposit_assignments,
     project_assignments,
@@ -347,7 +348,7 @@ class FsOracle:
                    rng: np.random.Generator) -> "FsOracle":
         """Point mass: a parity's sampler always answers its own subset.
         ``subset=0`` covers constant targets."""
-        if subset < 0 or subset >= (1 << n):
+        if not 0 <= _as_index(subset) < (1 << n):
             raise FsOracleError("parity subset out of range")
         dtype = mask_dtype(n)
         return cls(n, lambda m: np.full(m, subset, dtype=dtype))

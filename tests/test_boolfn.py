@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from fsjunta import (
     AcceptInstance,
     BudgetExceededError,
+    Hypothesis,
     JuntaSpec,
     RejectInstance,
     TruthTable,
@@ -27,10 +28,17 @@ from fsjunta import (
     vars_from_mask,
 )
 
-from fsjunta.boolfn import project_assignments, union_mask
+from fsjunta.boolfn import (
+    cell_sums,
+    deposit_assignments,
+    junta_errors,
+    project_assignments,
+    union_mask,
+)
 
 from reference import (
     naive_best_junta_errors,
+    naive_cell_sums,
     naive_distance,
     naive_influence,
     naive_lift,
@@ -106,6 +114,15 @@ class TestParity:
             assert f.values[x] == -f.values[x ^ 0b010]
             assert f.values[x] == f.values[x ^ 0b101]
 
+    def test_subset_mask_is_an_integer_in_range(self):
+        for subset in (-1, 4):
+            with pytest.raises(ValueError):
+                make_parity(2, subset)
+        with pytest.raises(TypeError):  # would be the parity of variable 1
+            make_parity(2, 2.7)
+        with pytest.raises(TypeError):  # would be the parity of variable 0
+            make_parity(2, True)
+
     def test_mask_helpers_round_trip(self):
         assert vars_from_mask(mask_from_vars([0, 3, 7])) == (0, 3, 7)
         assert mask_from_vars(()) == 0
@@ -130,6 +147,12 @@ class TestParity:
     def test_vars_from_mask_refuses_a_negative_mask(self):
         with pytest.raises(ValueError):
             vars_from_mask(-1)
+
+    def test_vars_from_mask_takes_integers_only(self):
+        with pytest.raises(TypeError):  # would truncate to (1,)
+            vars_from_mask(2.7)
+        with pytest.raises(TypeError):  # would read as (0,)
+            vars_from_mask(True)
 
     def test_union_mask_of_arrays_and_wide_ints(self):
         assert union_mask(np.array([0b0011, 0b0110], dtype=np.int64)) == 0b0111
@@ -450,6 +473,22 @@ class TestInfluence:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             influence_direct(AND2, 2)
+        with pytest.raises(TypeError):  # would be variable 1's influence
+            influence_direct(AND2, True)
+
+
+# Each layout entry point called with the given positions over n = 3
+# variables, with a table or entry list of the size those positions ask for.
+POSITION_READERS = {
+    "lift": lambda pos: lift(np.arange(1 << len(pos)), pos, 3),
+    "cell_sums": lambda pos: cell_sums(np.arange(8), pos),
+    "project_assignments": lambda pos: project_assignments(np.arange(8), pos),
+    "deposit_assignments": lambda pos: deposit_assignments(
+        np.arange(1 << len(pos)), pos, np.int64),
+    "JuntaSpec": lambda pos: JuntaSpec(
+        3, pos, TruthTable(len(pos), np.ones(1 << len(pos), dtype=np.int8))),
+    "Hypothesis": lambda pos: Hypothesis(pos, np.ones(1 << len(pos), dtype=np.int8)),
+}
 
 
 class TestLift:
@@ -483,6 +522,29 @@ class TestLift:
             assert got.tolist() == [naive_project(int(x), positions) for x in xs]
             assert project_assignments(int(xs[0]), positions) == got[0]
 
+    def test_cell_sums_match_the_gather_reference(self):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            n = int(rng.integers(1, 9))
+            t = int(rng.integers(0, n + 1))
+            positions = np.sort(rng.choice(n, size=t, replace=False)).astype(np.int64)
+            values = rng.integers(-3, 4, size=1 << n)
+            assert np.array_equal(cell_sums(values, positions),
+                                  naive_cell_sums(values, positions))
+
+    @pytest.mark.parametrize("name, positions", [
+        pytest.param(name, positions, id=f"{name}-{case}")
+        for case, positions, names in [
+            ("decreasing", [2, 0], POSITION_READERS),
+            ("repeated", [1, 1], POSITION_READERS),
+            ("negative", [-1], POSITION_READERS),
+            ("at-n", [3], ("lift", "cell_sums", "JuntaSpec")),
+        ]
+        for name in names])
+    def test_positions_must_strictly_increase_from_zero_below_n(self, name, positions):
+        with pytest.raises(ValueError):
+            POSITION_READERS[name](positions)
+
     def test_make_junta_matches_the_gather_reference(self):
         rng = np.random.default_rng(43)
         for _ in range(10):
@@ -504,6 +566,29 @@ class TestBestJunta:
     def test_k_at_least_n_is_free(self):
         f = random_table(4, np.random.default_rng(0))
         assert distance_to_k_junta(f, 4) == 0
+
+    def test_numpy_junta_errors_match_the_naive_count(self):
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            n = int(rng.integers(1, 9))
+            t = int(rng.integers(0, n + 1))
+            positions = np.sort(rng.choice(n, size=t, replace=False)).astype(np.int64)
+            table = TruthTable(n, 2 * rng.integers(0, 2, size=1 << n) - 1)
+            assert (junta_errors(table.values, positions)
+                    == naive_best_junta_errors(table, positions))
+
+    def test_subset_and_k_are_integers_in_range(self):
+        f = random_table(4, np.random.default_rng(0))
+        for scan in (best_junta_on, distance_to_best_junta_on):
+            for subset in (-1, 16):
+                with pytest.raises(ValueError):
+                    scan(f, subset)
+            with pytest.raises(TypeError):  # would scan the subset {0}
+                scan(f, True)
+        with pytest.raises(ValueError):
+            distance_to_k_junta(f, -1)
+        with pytest.raises(TypeError):  # would scan the 1-juntas
+            distance_to_k_junta(f, True)
 
     def test_subset_distance_matches_naive(self):
         rng = np.random.default_rng(17)

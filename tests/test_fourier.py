@@ -196,6 +196,8 @@ class TestInfluenceSpectral:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             influence_spectral(wht(AND2), 5)
+        with pytest.raises(TypeError):  # would be variable 1's influence
+            influence_spectral(wht(AND2), True)
 
 
 class TestSignProjection:
@@ -217,6 +219,14 @@ class TestSignProjection:
             got = projection_values(f, subset)
             for x in range(16):
                 assert int(got[x]) == naive_projection_value(f, subset, x)
+
+    @pytest.mark.parametrize("project", [projection_values, sign_projection])
+    def test_subset_is_an_integer_mask_in_range(self, project):
+        for subset in (-1, 4):
+            with pytest.raises(ValueError):
+                project(AND2, subset)
+        with pytest.raises(TypeError):  # would project onto {0}
+            project(AND2, True)
 
     def test_disagreement_bounded_by_outside_weight(self):
         # P[f != sign of projection] <= spectral weight outside the subset

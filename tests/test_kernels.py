@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from fsjunta import TruthTable, _kernels, random_table, wht
+from fsjunta import _kernels, random_table, wht
 from fsjunta.oracles import make_rng
 
-from reference import butterfly_wht, naive_best_junta_errors, naive_cell_sums
+from reference import butterfly_wht
 
 
 def _python_int_wht(values) -> list[int]:
@@ -118,28 +118,6 @@ def test_wht_matches_the_integer_butterfly_on_tables_and_round_trips():
         doubled = butterfly_wht(expected.copy())
         assert np.array_equal(_kernels.wht(sp.coeffs), doubled)
         assert np.array_equal(doubled, table.values.astype(np.int64) << n)
-
-
-def test_cell_sums_match_the_gather_reference():
-    rng = np.random.default_rng(5)
-    for _ in range(30):
-        n = int(rng.integers(1, 9))
-        t = int(rng.integers(0, n + 1))
-        positions = np.sort(rng.choice(n, size=t, replace=False)).astype(np.int64)
-        values = rng.integers(-3, 4, size=1 << n)
-        assert np.array_equal(_kernels.cell_sums(values, positions),
-                              naive_cell_sums(values, positions))
-
-
-def test_numpy_junta_errors_match_the_naive_count():
-    rng = np.random.default_rng(6)
-    for _ in range(30):
-        n = int(rng.integers(1, 9))
-        t = int(rng.integers(0, n + 1))
-        positions = np.sort(rng.choice(n, size=t, replace=False)).astype(np.int64)
-        table = TruthTable(n, 2 * rng.integers(0, 2, size=1 << n) - 1)
-        assert (_kernels.junta_errors(table.values, positions)
-                == naive_best_junta_errors(table, positions))
 
 
 def test_backend_name_is_consistent():

@@ -404,6 +404,15 @@ class TestLargeAmbientDimension:
         assert narrow.tolist() == wide.tolist()
         assert all(type(mask) is int for mask in wide)
 
+    def test_parity_subset_is_an_integer_mask_in_range(self):
+        for subset in (-1, 1 << 4):
+            with pytest.raises(FsOracleError):
+                FsOracle.for_parity(4, subset, make_rng(0, "bad"))
+        with pytest.raises(TypeError):  # would draw variable 1
+            FsOracle.for_parity(4, 2.7, make_rng(0, "bad"))
+        with pytest.raises(TypeError):  # would draw variable 0
+            FsOracle.for_parity(4, True, make_rng(0, "bad"))
+
     @pytest.mark.parametrize("n, dtype", [(20, np.int64), (62, np.int64),
                                           (63, object), (1024, object)])
     def test_parity_batch_has_the_mask_dtype(self, n, dtype):
