@@ -58,6 +58,18 @@ def _exact_sum_squares(arr: np.ndarray) -> int:
     return total
 
 
+def _adopt(n: int, coeffs: np.ndarray) -> Spectrum:
+    """A ``Spectrum`` holding the fresh int64 transform of an n-variable
+    +-1 table, which meets its checks by construction: frozen in place,
+    neither copied nor checked. It skips ``__post_init__``, so a field added
+    to the class must be set here too."""
+    sp = object.__new__(Spectrum)
+    object.__setattr__(sp, "n", n)
+    coeffs.setflags(write=False)
+    object.__setattr__(sp, "coeffs", coeffs)
+    return sp
+
+
 def wht(f: TruthTable) -> Spectrum:
     """Exact integer spectrum of a table, O(n 2^n) arithmetic.
 
@@ -65,9 +77,12 @@ def wht(f: TruthTable) -> Spectrum:
     applied as a Kronecker product of Sylvester blocks of at most 64 x 64,
     one BLAS product per block. Every partial sum is an integer of
     magnitude at most 2^n, so the products run in float32, exact below
-    2^24, up to n = 23, and in float64, exact below 2^53, at n = 24.
+    2^24, up to n = 23, and in float64, exact below 2^53, at n = 24. The
+    new array is adopted as it is: a transform of a +-1 table has even
+    coefficients of magnitude at most 2^n, which ``Spectrum(...)`` would
+    check again.
     """
-    return Spectrum(f.n, _kernels.wht(f.values))
+    return _adopt(f.n, _kernels.wht(f.values))
 
 
 def parseval_check(sp: Spectrum) -> bool:

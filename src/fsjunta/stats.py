@@ -22,19 +22,19 @@ def chi_square_gof(observed: np.ndarray, weights: np.ndarray) -> tuple[float, fl
 
     Bins with zero weight must be empty: any observation there makes the
     null impossible and the p-value is exactly 0. The statistic is
-    Pearson's sum and the p-value the chi-square survival function
-    ``scipy.special.chdtrc``, which is what ``scipy.stats.chisquare``
-    computes, bit for bit, without importing all of ``scipy.stats``. scipy
-    is imported here, not at module level: it is most of the package's
-    import time and memory, and only fs-dist runs this test.
+    Pearson's sum and the p-value the chi-square survival function, both
+    the bits ``scipy.stats.chisquare`` gives, without scipy: the p-value is
+    :func:`fsjunta._chi2.chdtrc`, a float-for-float port of scipy's
+    ``chdtrc``, imported here rather than at module level since only
+    fs-dist runs this test.
 
     It works on two float64 copies of its inputs and nothing else as long
     as them (bar one bool mask): every step of the statistic runs in place,
-    in the order ``scipy.stats.chisquare`` runs it, so the statistic and
-    the p-value are the same bits. The inputs may be any integer arrays,
-    the strided fields of a record array included, and are not modified.
+    in the order ``scipy.stats.chisquare`` runs it. The inputs may be any
+    integer arrays, the strided fields of a record array included, and are
+    not modified.
     """
-    from scipy.special import chdtrc
+    from ._chi2 import chdtrc
 
     obs = np.array(observed, dtype=np.float64)
     expected = np.array(weights, dtype=np.float64)
@@ -56,6 +56,6 @@ def chi_square_gof(observed: np.ndarray, weights: np.ndarray) -> tuple[float, fl
     obs -= expected
     obs *= obs
     obs /= expected
-    stat = obs.sum()
+    stat = float(obs.sum())
     dof = int(obs.size) - 1
-    return float(stat), float(chdtrc(dof, stat)), dof
+    return stat, chdtrc(dof, stat), dof

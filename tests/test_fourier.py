@@ -45,6 +45,22 @@ class TestWht:
             f = random_table(n, rng)
             assert np.array_equal(wht(f).coeffs, naive_spectrum(f))
 
+    def test_adopts_the_kernel_output_read_only(self):
+        # wht keeps the transform's fresh array instead of checking and
+        # copying it; it must hold what the checked constructor would
+        rng = np.random.default_rng(19)
+        for n in (1, 6, 12):
+            f = random_table(n, rng)
+            sp = wht(f)
+            checked = Spectrum(n, _kernels.wht(f.values))
+            assert sp.coeffs.dtype == np.int64 and not sp.coeffs.flags.writeable
+            with pytest.raises(ValueError):
+                sp.coeffs[0] = 0
+            assert np.array_equal(sp.coeffs, checked.coeffs)
+            assert vars(sp).keys() == vars(checked).keys() and sp.n == n
+            if n <= 6:
+                assert np.array_equal(sp.coeffs, naive_spectrum(f))
+
     def test_reject_instance_weights_are_flat(self):
         for r, n in [(1, 4), (2, 6), (3, 11)]:
             inst = RejectInstance(

@@ -355,7 +355,8 @@ class TestSeedBlocks:
 
 # One small config per kind and target, at seed 7, with the digests of its
 # outputs before the per-kind runners became one trial loop. They also pin
-# numpy's generator streams and, for fs-dist, scipy's chi-square p-value.
+# numpy's generator streams and, for fs-dist, the chi-square p-value, which
+# fsjunta._chi2 computes as scipy's chdtrc does.
 PINNED = {
     "test-junta-junta": (dict(kind="test-junta", target="junta", k=3, n=10, trials=20),
                          ("349eb2b3536c6875", "bfb9049fd24459ff")),
@@ -538,8 +539,6 @@ class TestCsvWriter:
         # one-shot writer, and 6 with counts on the support and a chunked
         # writer; the bound sits between the two.
         import tracemalloc
-
-        import scipy.special  # noqa: F401  (its import is not the run's data)
 
         cfg = ExperimentConfig("fs-dist", target="random", n=18, num_draws=250_000,
                                out=str(tmp_path / "s.csv"))
@@ -757,12 +756,29 @@ class TestCli:
             assert entry.endswith(f"(default {field.default})")
 
     def test_import_leaves_scipy_unloaded(self):
-        # scipy is most of the import time; only fs-dist's chi-square needs it
-        probe = "import sys, fsjunta.cli; print('scipy' in sys.modules)"
+        # only fs-dist's chi-square needs the p-value port, and nothing scipy
+        probe = ("import sys, fsjunta.cli; "
+                 "print(sorted({'scipy', 'fsjunta._chi2'} & sys.modules.keys()))")
         src = str(Path(fsjunta.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                              text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
+
+    def test_fs_dist_runs_without_scipy(self, tmp_path):
+        # scipy is a test dependency only: with its import blocked, fs-dist
+        # writes the bytes it writes in this process, where scipy is installed
+        args = ["fs-dist", "--target", "random", "--n", "10", "--seed", "3"]
+        probe = ("import sys; sys.modules['scipy'] = None; "
+                 "from fsjunta.cli import main; sys.exit(main(sys.argv[1:]))")
+        src = str(Path(fsjunta.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", probe, *args, "--out", str(tmp_path / "bare.csv")],
+                       capture_output=True, check=True, env={**os.environ, "PYTHONPATH": src})
+        assert cli_main([*args, "--out", str(tmp_path / "here.csv")]) == 0
+        assert (tmp_path / "bare.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
+        bare, here = ([line for line in (tmp_path / f"{name}.csv.summary").read_bytes()
+                       .splitlines(keepends=True) if not line.startswith(b"elapsed_s =")]
+                      for name in ("bare", "here"))
+        assert bare == here and b"p_value = 0.6597794880886859\n" in here
 
 
 def _tracer_targets():
