@@ -237,7 +237,7 @@ def test_dispatch_edges(branch, df, stat, label):
     (math.inf, math.inf, math.nan), (5e-324, 1.0, 0.0), (1e300, 1e-300, 1.0),
 ])
 def test_special_values_are_scipys(df, stat, want):
-    # scipy 1.17's values, where the C returns early; none raises in Python
+    # scipy 1.17's values at the edges of the domain; none raises in Python
     assert _same(_chi2.chdtrc(df, stat), want)
 
 
