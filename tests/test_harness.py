@@ -370,6 +370,21 @@ PINNED = {
                           ("e3b6856266675e7b", "651510936916f194")),
     "learn-junta-parity": (dict(kind="learn-junta", target="parity", k=3, n=40, trials=10),
                            ("2ec12a31ee3818f9", "651510936916f194")),
+    # masks past bit 62 as Python ints; neither the CSV nor the summary
+    # records n, so these read as the n = 20 and n = 12 pins above
+    "test-junta-reject-n100": (dict(kind="test-junta", target="reject", r=3, n=100,
+                                    trials=10),
+                               ("863cbb16d3887826", "6bd77422f74bd4b2")),
+    "test-junta-accept-n100": (dict(kind="test-junta", target="accept", r=3, n=100,
+                                    trials=10),
+                               ("8656767d416d6f53", "1888b524c391fbfb")),
+    "test-junta-parity-n100": (dict(kind="test-junta", target="parity", k=2, n=100,
+                                    trials=20),
+                               ("d1b0f7342707f562", "a49caab3df61037b")),
+    # uniform examples at EX_N_MAX
+    "learn-junta-junta-n62": (dict(kind="learn-junta", target="junta", k=3, n=62,
+                                   trials=10),
+                              ("a87c9eac82d3176e", "651510936916f194")),
     "lb-collision": (dict(kind="lb-collision", r=4, n=30, num_draws=12, trials=30),
                      ("9e72f05919d2601f", "4bde79917cd0790f")),
     "lb-tv": (dict(kind="lb-tv", r=4, n=30, num_draws=12, trials=60),
