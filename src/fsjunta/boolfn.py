@@ -361,20 +361,16 @@ class AcceptInstance:
             raise ValueError("signs must be -1 or +1")
 
 
-def _adopt(cls, r: int, n: int, tau: np.ndarray, s: np.ndarray | None = None):
-    """A ``RejectInstance``, or an ``AcceptInstance`` when ``s`` is given,
-    holding freshly drawn int64 arrays that meet its checks by construction:
-    frozen in place, neither copied nor checked. It skips ``__init__``, so a
-    field added to either class must be set here too."""
-    inst = object.__new__(cls)
-    object.__setattr__(inst, "r", r)
-    object.__setattr__(inst, "n", n)
-    tau.setflags(write=False)
-    object.__setattr__(inst, "tau", tau)
-    if s is not None:
-        s.setflags(write=False)
-        object.__setattr__(inst, "s", s)
-    return inst
+def _adopt(cls, **fields):
+    """A ``cls`` holding freshly built arrays that meet its checks by
+    construction: each array frozen in place, neither copied nor checked.
+    It skips the constructor, so every call names every field."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def sample_reject_instance(r: int, n: int, rng: np.random.Generator) -> RejectInstance:
@@ -383,8 +379,8 @@ def sample_reject_instance(r: int, n: int, rng: np.random.Generator) -> RejectIn
     big_r = 1 << r
     if n - r < big_r:
         raise ValueError(f"need n >= r + 2^r = {r + big_r}")
-    return _adopt(RejectInstance, r, n,
-                  rng.choice(n - r, size=big_r, replace=False))
+    return _adopt(RejectInstance, r=r, n=n,
+                  tau=rng.choice(n - r, size=big_r, replace=False))
 
 
 def sample_accept_instance(r: int, n: int, rng: np.random.Generator) -> AcceptInstance:
@@ -394,8 +390,8 @@ def sample_accept_instance(r: int, n: int, rng: np.random.Generator) -> AcceptIn
     if n - r < half:
         raise ValueError(f"need n >= r + 2^(r-1) = {r + half}")
     tau = rng.choice(n - r, size=half, replace=False)
-    return _adopt(AcceptInstance, r, n, tau,
-                  2 * rng.integers(0, 2, size=half) - 1)
+    return _adopt(AcceptInstance, r=r, n=n, tau=tau,
+                  s=2 * rng.integers(0, 2, size=half) - 1)
 
 
 def realize_reject(inst: RejectInstance) -> TruthTable:

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import _kernels
-from .boolfn import TruthTable, _as_index, _as_integers, _check_n
+from .boolfn import TruthTable, _adopt, _as_index, _as_integers, _check_n
 
 # Chunk length for exact int64 sums of squares: 2^14 terms of at most 2^48
 # each stay below 2^62, so no chunk can overflow before it is folded into
@@ -58,18 +58,6 @@ def _exact_sum_squares(arr: np.ndarray) -> int:
     return total
 
 
-def _adopt(n: int, coeffs: np.ndarray) -> Spectrum:
-    """A ``Spectrum`` holding the fresh int64 transform of an n-variable
-    +-1 table, which meets its checks by construction: frozen in place,
-    neither copied nor checked. It skips ``__post_init__``, so a field added
-    to the class must be set here too."""
-    sp = object.__new__(Spectrum)
-    object.__setattr__(sp, "n", n)
-    coeffs.setflags(write=False)
-    object.__setattr__(sp, "coeffs", coeffs)
-    return sp
-
-
 def wht(f: TruthTable) -> Spectrum:
     """Exact integer spectrum of a table, O(n 2^n) arithmetic.
 
@@ -82,7 +70,7 @@ def wht(f: TruthTable) -> Spectrum:
     coefficients of magnitude at most 2^n, which ``Spectrum(...)`` would
     check again.
     """
-    return _adopt(f.n, _kernels.wht(f.values))
+    return _adopt(Spectrum, n=f.n, coeffs=_kernels.wht(f.values))
 
 
 def parseval_check(sp: Spectrum) -> bool:

@@ -16,10 +16,9 @@ at the example cap. Assignments never seen evaluate to -1 (True).
 Examples are drawn in chunks, the first as large as the coverage target and
 each next one twice the last but none past ``DRAWS_MAX``, and every chunk is
 projected in one array pass. The stage stops at the exact example where
-coverage is reached or the cap is hit, and gives the rest of that chunk back
-to the oracle (``ExOracle.unread``), so the reported example count, the
-oracle's call count and the generator state all equal those of drawing one
-example at a time.
+coverage is reached or the cap is hit and ignores the rest of that chunk,
+so the hypothesis and the reported example count equal those of drawing
+one example at a time.
 """
 from __future__ import annotations
 
@@ -137,9 +136,9 @@ def learn_junta(fs: FsOracle, ex: ExOracle, k: int, eps: float,
     ... examples, each cut to the cap's remainder and to ``DRAWS_MAX``, and
     finds each cell's first example in a chunk with one ``np.minimum.at``.
     In the chunk where coverage is reached it keeps the examples up to that
-    one and hands the others back with ``ex.unread``. ``ex_calls``,
-    ``ex.calls`` and the state of the example generator therefore end
-    exactly as with one-at-a-time draws.
+    one and ignores the others, so ``ex_calls`` counts the examples used,
+    exactly as with one-at-a-time draws; ``ex.calls`` also counts the
+    ignored rest of that chunk.
     """
     before = fs.calls
     found = find_influential(fs, k, eps)
@@ -162,7 +161,6 @@ def learn_junta(fs: FsOracle, ex: ExOracle, k: int, eps: float,
         if seen + new.size >= needed:
             stop = int(np.sort(first[new])[needed - seen - 1]) + 1
             new = new[first[new] < stop]
-            ex.unread(m - stop)
             m = stop
         entries[new] = ys[first[new]]
         seen += new.size

@@ -193,7 +193,7 @@ class ExOracle:
     ``x`` is one uniform draw below 2^n and its label is read from the
     inner table at x's relevant bits, so no 2^n table is built and n may be
     up to ``EX_N_MAX``. A truth table is the junta on all of its variables.
-    ``calls`` counts the examples drawn.
+    ``calls`` counts every example drawn, read or not.
     """
 
     def __init__(self, target: TruthTable | JuntaSpec, rng: np.random.Generator):
@@ -203,8 +203,6 @@ class ExOracle:
                 f"uniform examples need n <= {EX_N_MAX}, got {self.spec.n}")
         self._rng = rng
         self.calls = 0
-        self._batch_state = None
-        self._batch_size = 0
 
     def draw(self) -> tuple[int, int]:
         xs, ys = self.draw_batch(1)
@@ -213,33 +211,11 @@ class ExOracle:
     def draw_batch(self, m: int) -> tuple[np.ndarray, np.ndarray]:
         """m examples as (int64 inputs, int8 labels). A batch of m draws
         the same inputs, and leaves the generator in the same state, as m
-        single draws; :meth:`unread` can give back any suffix of it."""
-        self._batch_state = self._rng.bit_generator.state
-        self._batch_size = m
+        single draws."""
         xs = self._rng.integers(0, 1 << self.spec.n, size=m, dtype=np.int64)
         self.calls += m
         cells = project_assignments(xs, self.spec.relevant)
         return xs, self.spec.inner.values[cells]
-
-    def unread(self, count: int) -> None:
-        """Give back the last ``count`` examples of the latest batch.
-
-        The generator is reset to its state before that batch and the kept
-        prefix is drawn again, so the generator and ``calls``
-        end exactly as if only the prefix had been drawn; the prefix then
-        counts as the latest batch. Nothing else may draw from the
-        generator between the batch and this call.
-        """
-        if not 0 <= count <= self._batch_size:
-            raise ValueError(
-                f"can give back 0..{self._batch_size} examples, not {count}")
-        if count == 0:
-            return
-        kept = self._batch_size - count
-        self._rng.bit_generator.state = self._batch_state
-        self._rng.integers(0, 1 << self.spec.n, size=kept, dtype=np.int64)
-        self._batch_size = kept
-        self.calls -= count
 
 
 def reject_transcript(inst: RejectInstance, rng: np.random.Generator,

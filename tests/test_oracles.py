@@ -228,74 +228,30 @@ class TestClassicalOracles:
         x, y = ex.draw()
         assert y == 1 - 2 * (((x >> 3) ^ (x >> 40) ^ (x >> (EX_N_MAX - 1))) & 1)
 
+    @pytest.mark.parametrize("n", [5, 20, 32, 33, EX_N_MAX])
+    def test_ex_batches_draw_the_scalar_stream(self, n):
+        # numpy draws below 2^n from 32-bit words up to n = 32 and from
+        # 64-bit words past it; chunked stage 2 is exact because batches,
+        # single draws and scalar integers read the same stream either way
+        spec = JuntaSpec(n, (0, n - 1), make_parity(2, 0b11))
+        rng = make_rng(3, "ex-stream")
+        ex = ExOracle(spec, rng)
+        batched = np.concatenate([ex.draw_batch(m)[0] for m in (10, 7, 20)])
+
+        ref_rng = make_rng(3, "ex-stream")
+        ref = ExOracle(spec, ref_rng)
+        one_by_one = [ref.draw()[0] for _ in range(37)]
+        scalar = make_rng(3, "ex-stream")
+        assert batched.tolist() == one_by_one == [
+            int(scalar.integers(0, 1 << n)) for _ in range(37)]
+        assert rng.bit_generator.state == ref_rng.bit_generator.state \
+            == scalar.bit_generator.state
+        assert ex.calls == ref.calls == 37
+
     def test_ex_rejects_an_ambient_n_past_int64(self):
         spec = JuntaSpec(EX_N_MAX + 1, (0,), make_parity(1, 1))
         with pytest.raises(ValueError):
             ExOracle(spec, make_rng(0, "exbad"))
-
-
-class TestExUnread:
-    """``ExOracle.unread`` gives back a suffix of the latest batch."""
-
-    @staticmethod
-    def oracle(n, seed=0):
-        spec = JuntaSpec(n, (0, n - 1), make_parity(2, 0b11))
-        rng = make_rng(seed, "unread")
-        return ExOracle(spec, rng), rng
-
-    @pytest.mark.parametrize("n", [5, 32, 33, EX_N_MAX])
-    def test_unread_zero_is_a_no_op(self, n):
-        ex, rng = self.oracle(n)
-        ex.draw_batch(9)
-        state = rng.bit_generator.state
-        ex.unread(0)
-        assert rng.bit_generator.state == state
-        assert ex.calls == 9
-
-    @pytest.mark.parametrize("n", [5, 32, 33, EX_N_MAX])
-    def test_unread_of_a_whole_batch_restores_the_state_before_it(self, n):
-        ex, rng = self.oracle(n)
-        ex.draw_batch(4)
-        state = rng.bit_generator.state
-        ex.draw_batch(11)
-        ex.unread(11)
-        assert rng.bit_generator.state == state
-        assert ex.calls == 4
-
-    def test_more_than_the_latest_batch_is_refused(self):
-        ex, _ = self.oracle(10)
-        with pytest.raises(ValueError):
-            ex.unread(1)
-        ex.draw_batch(5)
-        ex.draw_batch(3)
-        with pytest.raises(ValueError):
-            ex.unread(4)
-        with pytest.raises(ValueError):
-            ex.unread(-1)
-        ex.unread(2)  # the kept example is now the latest batch
-        with pytest.raises(ValueError):
-            ex.unread(2)
-        ex.unread(1)
-        assert ex.calls == 5
-
-    @pytest.mark.parametrize("n", [5, 20, 32, 33, EX_N_MAX])
-    def test_draws_after_an_unread_skip_the_given_back_examples(self, n):
-        ex, rng = self.oracle(n, seed=3)
-        a, _ = ex.draw_batch(10)
-        b, _ = ex.draw_batch(7)
-        ex.unread(4)
-        c, _ = ex.draw_batch(20)
-        ex.unread(5)
-        kept = np.concatenate([a, b[:3], c[:15]])
-
-        ref, ref_rng = self.oracle(n, seed=3)
-        one_by_one = [ref.draw()[0] for _ in range(28)]
-        scalar = make_rng(3, "unread")
-        assert kept.tolist() == one_by_one == [
-            int(scalar.integers(0, 1 << n)) for _ in range(28)]
-        assert rng.bit_generator.state == ref_rng.bit_generator.state \
-            == scalar.bit_generator.state
-        assert ex.calls == ref.calls == 28
 
 
 class TestAnalyticReject:
@@ -640,13 +596,10 @@ class TestCallCounts:
             oracle.draw_batch(m)
             want += m
             assert oracle.calls == want
-            if isinstance(oracle, ExOracle):
-                oracle.unread(m // 2)
-                want -= m // 2
-            else:
+            if not isinstance(oracle, ExOracle):
                 oracle.draw_exposed(m)
                 want += m
-            assert oracle.calls == want
+                assert oracle.calls == want
         # a second oracle on the same generator keeps its own count
         assert other.calls == 0
         other.draw_batch(3)

@@ -8,8 +8,8 @@ copy of ``src/``, ``e2ebench/`` and ``BENCHMARK.json`` with
 ``PYTHONDONTWRITEBYTECODE=1``: the parent's from ``git archive <ref>``, the
 change's copied from the working tree, so uncommitted edits are measured.
 
-The output holds the command, the host (nproc and the Python, numpy and
-scipy versions), the parent commit, the change side's identity (``commit``,
+The output holds the command, the host (nproc and the Python and numpy
+versions), the parent commit, the change side's identity (``commit``,
 the working tree's HEAD, and ``dirty``, whether ``src/``, ``e2ebench/`` or
 ``BENCHMARK.json`` differ from it), each pair's two last-line JSON reports,
 and per metric both sides' medians and inclusive quartiles
@@ -150,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     record = {
         "command": " ".join(["python3", "e2ebench/run.py", *run_args]),
         "host": {"nproc": os.cpu_count(), "python": sys.version.split()[0],
-                 "numpy": version("numpy"), "scipy": version("scipy")},
+                 "numpy": version("numpy")},
         "parent": {"commit": commit},
         "change": change,
         "pairs": pairs,
