@@ -364,12 +364,13 @@ class AcceptInstance:
 def _adopt(cls, **fields):
     """A ``cls`` holding freshly built arrays that meet its checks by
     construction: each array frozen in place, neither copied nor checked.
-    It skips the constructor, so every call names every field."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
+    It skips the constructor, so every call names every field; one
+    ``__dict__`` update is cheaper than ``object.__setattr__`` per field."""
+    for value in fields.values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-        object.__setattr__(obj, name, value)
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
     return obj
 
 
