@@ -180,7 +180,12 @@ def junta_errors(values: np.ndarray, positions: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True, eq=False)
 class TruthTable:
-    """A {-1,+1}-valued function on {-1,+1}^n as a dense 2^n table."""
+    """A {-1,+1}-valued function on {-1,+1}^n as a dense 2^n table.
+
+    ``values`` is stored as a read-only int8 array. The constructor checks
+    and copies its input; :func:`random_table` adopts its fresh draw as it
+    is.
+    """
 
     n: int
     values: np.ndarray = field(repr=False)
@@ -213,7 +218,8 @@ class JuntaSpec:
     """A function of ``n`` variables that reads only ``relevant`` ones.
 
     ``inner`` gives the behavior on those variables; position ``t`` of the
-    inner table corresponds to ``relevant[t]``.
+    inner table corresponds to ``relevant[t]``. The constructor checks its
+    input; :func:`random_junta_spec` adopts what it draws as it is.
     """
 
     n: int
@@ -245,17 +251,24 @@ def make_junta(spec: JuntaSpec) -> TruthTable:
 
 
 def random_table(n: int, rng: np.random.Generator) -> TruthTable:
+    """A uniform random table, adopted without the constructor's checks:
+    gathering ``[-1, 1]`` at 2^n drawn bits gives a fresh int8 array of
+    2^n entries, each -1 or +1."""
     _check_n(n)
-    # 2b - 1 for each drawn bit b, gathered as int8: no int64 +-1 array is
-    # built, and the drawn bits are freed before the table is checked.
-    return TruthTable(n, np.array([-1, 1], dtype=np.int8)[rng.integers(0, 2, size=1 << n)])
+    # 2b - 1 for each drawn bit b, gathered as int8: no int64 +-1 array is built.
+    values = np.array([-1, 1], dtype=np.int8)[rng.integers(0, 2, size=1 << n)]
+    return _adopt(TruthTable, n=n, values=values)
 
 
 def random_junta_spec(n: int, k: int, rng: np.random.Generator) -> JuntaSpec:
+    """A random k-junta on n variables, adopted without the constructor's
+    checks: ``rng.choice(n, k, replace=False)``, sorted, gives k strictly
+    increasing positions in 0..n-1, as plain ints by ``tolist``, and the
+    inner table is on exactly k variables."""
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
-    relevant = sorted(rng.choice(n, size=k, replace=False))
-    return JuntaSpec(n, relevant, random_table(k, rng))
+    relevant = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+    return _adopt(JuntaSpec, n=n, relevant=relevant, inner=random_table(k, rng))
 
 
 _DICTATOR = np.array([1, -1], dtype=np.int8)
@@ -362,8 +375,8 @@ class AcceptInstance:
 
 
 def _adopt(cls, **fields):
-    """A ``cls`` holding freshly built arrays that meet its checks by
-    construction: each array frozen in place, neither copied nor checked.
+    """A ``cls`` holding freshly built fields that meet its checks by
+    construction: each array frozen in place, no field copied or checked.
     It skips the constructor, so every call names every field; one
     ``__dict__`` update is cheaper than ``object.__setattr__`` per field."""
     for value in fields.values():

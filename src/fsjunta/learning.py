@@ -22,13 +22,14 @@ one example at a time.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .boolfn import (N_MAX, JuntaSpec, TruthTable, _as_integers, _positions,
+from .boolfn import (N_MAX, JuntaSpec, TruthTable, _adopt, _as_integers, _positions,
                      as_junta, lift, project_assignments)
 from .oracles import DRAWS_MAX, ExOracle, FsOracle
 
@@ -46,7 +47,8 @@ class Hypothesis:
 
     ``entries[a]`` is the recorded label for assignment ``a`` to ``vars``
     (bit t of ``a`` is the assignment bit of ``vars[t]``), or ``UNSEEN``.
-    Unseen cells evaluate to -1 (True).
+    Unseen cells evaluate to -1 (True). The constructor checks and copies
+    its input; :func:`learn_junta` adopts the hypothesis it fills as it is.
     """
 
     vars: tuple[int, ...]
@@ -98,6 +100,7 @@ class LearnerReport:
     status: str
 
 
+@functools.lru_cache(typed=True)
 def coverage_target(cells: int, eps: float) -> int:
     """ceil((1 - eps/3) * cells), exact for the decimal ``eps``: the number
     of assignments stage 2 must see."""
@@ -139,6 +142,11 @@ def learn_junta(fs: FsOracle, ex: ExOracle, k: int, eps: float,
     one and ignores the others, so ``ex_calls`` counts the examples used,
     exactly as with one-at-a-time draws; ``ex.calls`` also counts the
     ignored rest of that chunk.
+
+    The hypothesis is adopted without the constructor's checks: its
+    variables are ``draw_exposed``'s ascending ints, and its entries a
+    fresh int8 array of one cell per assignment, each 0 (``UNSEEN``) or an
+    example's ±1 label.
     """
     before = fs.calls
     found = find_influential(fs, k, eps)
@@ -167,8 +175,8 @@ def learn_junta(fs: FsOracle, ex: ExOracle, k: int, eps: float,
         draws += m
         chunk *= 2
     status = SUCCESS if seen >= needed else STAGE_TWO_TIMEOUT
-    return LearnerReport(Hypothesis(found, entries), fs_used, draws,
-                         Fraction(seen, cells), status)
+    hypothesis = _adopt(Hypothesis, vars=found, entries=entries)
+    return LearnerReport(hypothesis, fs_used, draws, Fraction(seen, cells), status)
 
 
 def hypothesis_error(f: TruthTable | JuntaSpec, hypothesis: Hypothesis) -> Fraction:

@@ -302,6 +302,11 @@ class FsOracle:
 
     @classmethod
     def from_spectrum(cls, sp: Spectrum, rng: np.random.Generator) -> "FsOracle":
+        """Sampler for any integer spectrum whose squared coefficients sum
+        to exactly 4^n; ``FsOracleError`` otherwise."""
+        if not parseval_check(sp):
+            raise FsOracleError("squared weights do not sum to 4^n; "
+                                "not a valid sampling distribution")
         return cls._from_weights(sp, sp.n, None, rng)
 
     @classmethod
@@ -315,7 +320,9 @@ class FsOracle:
         The lifted function's spectrum is the inner one with each inner
         position t moved to variable ``relevant[t]``, so sampling the inner
         subsets and remapping them is exact. The support stays as int64
-        inner masks; only drawn masks are ever remapped.
+        inner masks; only drawn masks are ever remapped. The inner spectrum
+        is not checked against Parseval: it is the transform of a ±1 table,
+        whose squared coefficients sum to exactly 4^k.
         """
         return cls._from_weights(wht(spec.inner), spec.n, spec.relevant, rng)
 
@@ -348,11 +355,9 @@ class FsOracle:
         """Sampler that draws subset S of ``sp`` with probability
         ``coeffs[S]^2 / 4^sp.n``, as an int64 mask over ``sp.n`` bits. Bit t
         of a mask is variable ``relevant[t]`` of the n; ``relevant=None``
-        means bit t is variable t."""
-        if not parseval_check(sp):
-            raise FsOracleError("squared weights do not sum to 4^n; "
-                                "not a valid sampling distribution")
-        # The exact check bounds every prefix sum by 4^n, so none wraps.
+        means bit t is variable t. The squared coefficients must sum to
+        exactly 4^sp.n, which the callers ensure."""
+        # Parseval bounds every prefix sum by 4^n, so none wraps.
         masks = np.flatnonzero(sp.coeffs)
         masks.setflags(write=False)  # draw_counts hands it out as it is
         cum = sp.coeffs[masks]

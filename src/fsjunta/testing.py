@@ -10,6 +10,7 @@ features, the collision-parity rule on them and a histogram TV.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -33,6 +34,7 @@ class TesterVerdict:
     exposed: frozenset[int]
 
 
+@functools.lru_cache(typed=True)
 def junta_test_draws(k: int, eps: float) -> int:
     """ceil(10(k+1)/eps), exact for the decimal ``eps``: the tester's draws."""
     return math.ceil(10 * (k + 1) / Fraction(str(eps)))

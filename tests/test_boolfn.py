@@ -402,6 +402,52 @@ class TestArrayInstances:
             sample(0, 6, np.random.default_rng(0))
 
 
+class TestAdoptedSamples:
+    """``random_table`` and ``random_junta_spec`` skip the constructors'
+    checks; what they build must equal what the checking constructors build
+    from the same fields, with every dataclass field set."""
+
+    @staticmethod
+    def _assert_frozen_int8(arr):
+        assert arr.dtype == np.int8
+        assert arr.flags.writeable is False
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_random_table_equals_the_checked_table(self, n):
+        for seed in range(20):
+            t = random_table(n, np.random.default_rng(seed))
+            checked = TruthTable(n, t.values)
+            assert vars(t).keys() == vars(checked).keys()
+            assert t.n == checked.n
+            assert np.array_equal(t.values, checked.values)
+            self._assert_frozen_int8(t.values)
+
+    @pytest.mark.parametrize("k, n", [(1, 1), (3, 3), (5, 12), (5, 100), (12, 1024)])
+    def test_random_junta_spec_equals_the_checked_spec(self, k, n):
+        for seed in range(20):
+            spec = random_junta_spec(n, k, np.random.default_rng(seed))
+            checked = JuntaSpec(n, spec.relevant, spec.inner)
+            assert vars(spec).keys() == vars(checked).keys()
+            assert spec == checked
+            assert type(spec.relevant) is tuple
+            assert all(type(v) is int for v in spec.relevant)
+            assert all(a < b for a, b in zip(spec.relevant, spec.relevant[1:]))
+            assert spec.inner.n == k
+            self._assert_frozen_int8(spec.inner.values)
+
+    def test_random_junta_spec_draws_the_checked_stream(self):
+        # the adopted spec holds what rng.choice and random_table draw, in
+        # that order, and leaves the generator where they leave it
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        spec = random_junta_spec(1024, 12, rng)
+        assert spec.relevant == tuple(sorted(twin.choice(1024, size=12, replace=False)))
+        assert np.array_equal(spec.inner.values,
+                              2 * twin.integers(0, 2, size=1 << 12) - 1)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+
 class TestAddressingReference:
     """The lift-based builders against the bit-gather reference."""
 

@@ -381,6 +381,10 @@ PINNED = {
     "test-junta-parity-n100": (dict(kind="test-junta", target="parity", k=2, n=100,
                                     trials=20),
                                ("d1b0f7342707f562", "a49caab3df61037b")),
+    # a sampled junta whose positions reach past bit 62
+    "test-junta-junta-n100": (dict(kind="test-junta", target="junta", k=5, n=100,
+                                   trials=20),
+                              ("d48231b7f4c634bf", "bfb9049fd24459ff")),
     # uniform examples at EX_N_MAX
     "learn-junta-junta-n62": (dict(kind="learn-junta", target="junta", k=3, n=62,
                                    trials=10),

@@ -317,6 +317,8 @@ class TestCoverageTarget:
         assert coverage_target(4, 0.75) == 3
         assert coverage_target(1024, 0.375) == 896
         assert coverage_target(10, 0.3) == 9
+        # an equal but exact binary eps has its own cache entry and count
+        assert coverage_target(10, Fraction(0.3)) == 10
 
     def test_matches_rational_arithmetic(self):
         for cells in (1, 2, 16, 256, 1 << 20):
@@ -392,6 +394,31 @@ class TestSpecScoring:
 
 
 class TestHypothesis:
+    @pytest.mark.parametrize("max_ex", [None, 5])
+    def test_learned_hypothesis_equals_the_checked_one(self, max_ex):
+        # learn_junta adopts the hypothesis it fills, unchecked; it must
+        # equal the constructor's, with every field set, over full and
+        # partial tables (a 5-example cap leaves cells UNSEEN)
+        for seed in range(15):
+            rng = make_rng(seed, "adopted")
+            k = 1 + seed % 6
+            spec = random_junta_spec(20 + 3 * seed, k, rng)
+            constant = JuntaSpec(40, (0,), TruthTable(1, np.ones(2, dtype=np.int8)))
+            targets = [(FsOracle.from_junta(spec, rng), spec),
+                       (FsOracle.for_parity(40, 0, rng), constant)]  # vars ()
+            for fs, target in targets:
+                report = learn_junta(fs, ExOracle(target, rng), k, 0.1, max_ex)
+                h = report.hypothesis
+                checked = Hypothesis(h.vars, h.entries)
+                assert vars(h).keys() == vars(checked).keys()
+                assert h.vars == checked.vars
+                assert type(h.vars) is tuple and all(type(v) is int for v in h.vars)
+                assert all(a < b for a, b in zip(h.vars, h.vars[1:]))
+                assert np.array_equal(h.entries, checked.entries)
+                assert h.entries.dtype == np.int8 and h.entries.flags.writeable is False
+                with pytest.raises(ValueError):
+                    h.entries[0] = h.entries[0]
+
     def test_exact_reproduction_has_zero_error(self):
         entries = np.array([1, 1, 1, -1], dtype=np.int8)
         h = Hypothesis((0, 1), entries)

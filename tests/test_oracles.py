@@ -179,6 +179,16 @@ class TestFsFromSpectrum:
                   for m in np.flatnonzero(table_weights)}
         assert lifted == direct
 
+    @pytest.mark.parametrize("k, n", [(1, 1), (4, 12), (8, 100), (12, 1024)])
+    def test_junta_weights_sum_to_exactly_4_to_the_k(self, k, n):
+        # from_junta samples the inner spectrum unchecked: a ±1 table's
+        # squared coefficients sum to exactly 4^k, as from_spectrum checks
+        for seed in range(10):
+            rng = make_rng(seed, "parseval")
+            fs = FsOracle.from_junta(random_junta_spec(n, k, rng), rng)
+            _, weights, _ = fs.draw_counts(100)
+            assert int(weights.sum()) == 4**k
+
     def test_junta_sampler_draws_within_support(self):
         rng = make_rng(1, "lift2")
         spec = random_junta_spec(20, 5, rng)

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from fsjunta.testing import (
     collision_features,
     collision_guess,
     histogram_tv,
+    junta_test_draws,
 )
 from reference import unique_collision_features
 
@@ -70,6 +72,15 @@ class TestJuntaTest:
         assert junta_test(fs, 28, 0.29).queries_used == 1000
         fs = FsOracle.for_parity(1024, 0, make_rng(0, "exact"))
         assert junta_test(fs, 12, 0.1).queries_used == 1300
+        # an equal but exact binary eps has its own cache entry and count
+        assert junta_test_draws(28, Fraction(0.29)) == 1001
+
+    def test_exposed_variables_are_plain_ints(self):
+        rng = make_rng(0, "plain")
+        for _ in range(5):
+            fs = FsOracle.from_junta(random_junta_spec(1024, 12, rng), rng)
+            exposed = junta_test(fs, 12, 0.1).exposed
+            assert exposed and all(type(v) is int for v in exposed)
 
     def test_rejects_a_parity_on_k_plus_one_variables(self):
         # the sampler is a point mass, so one draw already exposes k+1
