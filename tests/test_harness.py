@@ -389,6 +389,18 @@ PINNED = {
     "learn-junta-junta-n62": (dict(kind="learn-junta", target="junta", k=3, n=62,
                                    trials=10),
                               ("a87c9eac82d3176e", "651510936916f194")),
+    # the benchmark's learn config; stage 2 over 256 cells
+    "learn-junta-junta-k8": (dict(kind="learn-junta", target="junta", k=8, n=20,
+                                  trials=5),
+                             ("fcc7fe49c691616e", "9b7b0bfd781d8df2")),
+    # stage-2 chunks past the window of cells / 4
+    "learn-junta-junta-k18": (dict(kind="learn-junta", target="junta", k=18, n=30,
+                                   trials=3),
+                              ("db3cbf6371d62fff", "26ff3d42f0fcbb94")),
+    # an example cap inside stage 2's first chunk: every trial times out
+    "learn-junta-junta-k8-cap500": (dict(kind="learn-junta", target="junta", k=8, n=20,
+                                         max_ex=500, trials=5),
+                                    ("a35c8fa66f61622f", "9876df531ae8242a")),
     "lb-collision": (dict(kind="lb-collision", r=4, n=30, num_draws=12, trials=30),
                      ("9e72f05919d2601f", "4bde79917cd0790f")),
     "lb-tv": (dict(kind="lb-tv", r=4, n=30, num_draws=12, trials=60),
