@@ -13,12 +13,16 @@ the found variables, the label of the first example projecting onto it. It
 stops once at least a 1 - eps/3 fraction of assignments have been seen, or
 at the example cap. Assignments never seen evaluate to -1 (True).
 
-Examples are drawn in chunks, the first as large as the coverage target and
-each next one twice the last but none past ``DRAWS_MAX``, and every chunk is
-projected in one array pass. The stage stops at the exact example where
-coverage is reached or the cap is hit and ignores the rest of that chunk,
-so the hypothesis and the reported example count equal those of drawing
-one example at a time.
+Examples are drawn in chunks, and every chunk is projected in one array
+pass. The number of examples the stage needs is a coupon-collector count,
+so the first chunk is that count's mean plus two standard deviations,
+from closed forms, and most trials end inside it. Each next chunk is
+twice the last, but none is longer than a quarter of the cells (at least
+2^16) or ``DRAWS_MAX``, so a chunk's arrays stay in proportion to the
+table it fills. The stage stops at the exact example where coverage is
+reached or the cap is hit and ignores the rest of that chunk, so the
+hypothesis and the reported example count equal those of drawing one
+example at a time.
 """
 from __future__ import annotations
 
@@ -107,6 +111,24 @@ def coverage_target(cells: int, eps: float) -> int:
     return math.ceil((1 - Fraction(str(eps)) / 3) * cells)
 
 
+@functools.lru_cache
+def _collector_moments(cells: int, needed: int) -> tuple[float, float]:
+    """Mean and standard deviation of the number of uniform examples that
+    see ``needed`` of ``cells`` assignments, in closed form.
+
+    The count is a sum of geometrics with success x/cells for x = cells,
+    cells - 1, ..., cells - needed + 1: mean sum cells/x and variance
+    sum cells (cells - x)/x^2. Each sum is read as the integral of its term
+    from low = cells - needed + 1/2, the midpoint rule backwards. The mean
+    is never below ``needed`` (1/x is convex), so neither is the first
+    chunk that :func:`learn_junta` sizes from these.
+    """
+    low = cells - needed + 0.5
+    rho = cells / low
+    mean = cells * math.log((cells + 0.5) / low)
+    return mean, math.sqrt(cells * (rho - 1 - math.log(rho)))
+
+
 def stage_one_draws(k: int, eps: float) -> int:
     return math.ceil((10 * k / eps) * math.log(10 * k))
 
@@ -135,9 +157,11 @@ def learn_junta(fs: FsOracle, ex: ExOracle, k: int, eps: float,
     (impossible under the promise), ``stage2-timeout`` if the example cap
     was reached before coverage, else ``success``.
 
-    Stage 2 draws ``ex.draw_batch`` chunks of needed, 2 needed, 4 needed,
-    ... examples, each cut to the cap's remainder and to ``DRAWS_MAX``, and
-    finds each cell's first example in a chunk with one ``np.minimum.at``.
+    Stage 2 draws ``ex.draw_batch`` chunks of c, 2c, 4c, ... examples,
+    where c is the mean plus two standard deviations of the examples
+    needed (:func:`_collector_moments`), each cut to the cap's remainder,
+    to a window of max(cells / 4, 2^16) and to ``DRAWS_MAX``, and finds
+    each cell's first example in a chunk with one ``np.minimum.at``.
     In the chunk where coverage is reached it keeps the examples up to that
     one and ignores the others, so ``ex_calls`` counts the examples used,
     exactly as with one-at-a-time draws; ``ex.calls`` also counts the
@@ -159,12 +183,17 @@ def learn_junta(fs: FsOracle, ex: ExOracle, k: int, eps: float,
     needed = coverage_target(cells, eps)
     entries = np.zeros(cells, dtype=np.int8)
     seen = draws = 0
-    chunk = needed
+    mean, sd = _collector_moments(cells, needed)
+    chunk = math.ceil(mean + 2 * sd)
+    window = max(cells >> 2, 1 << 16)
     while seen < needed and draws < cap:
-        m = min(chunk, cap - draws, DRAWS_MAX)
+        m = min(chunk, cap - draws, window, DRAWS_MAX)
         xs, ys = ex.draw_batch(m)
-        first = np.full(cells, m, dtype=np.int64)
-        np.minimum.at(first, project_assignments(xs, found), np.arange(m))
+        cell = project_assignments(xs, found)
+        del xs
+        # int32 indices: m <= DRAWS_MAX = 2^24
+        first = np.full(cells, m, dtype=np.int32)
+        np.minimum.at(first, cell, np.arange(m, dtype=np.int32))
         new = np.flatnonzero((first < m) & (entries == UNSEEN))
         if seen + new.size >= needed:
             stop = int(np.sort(first[new])[needed - seen - 1]) + 1

@@ -27,6 +27,7 @@ from fsjunta.learning import (
     STAGE_TWO_TIMEOUT,
     SUCCESS,
     UNSEEN,
+    _collector_moments,
     coverage_target,
     default_example_cap,
     stage_one_draws,
@@ -35,6 +36,23 @@ from fsjunta.learning import (
 from reference import naive_stage_two
 
 AND2 = TruthTable(2, np.array([1, 1, 1, -1], dtype=np.int8))
+
+
+def first_chunk(cells, needed):
+    mean, sd = _collector_moments(cells, needed)
+    return math.ceil(mean + 2 * sd)
+
+
+class SpyEx(ExOracle):
+    """An ExOracle that records the size of every batch it draws."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.sizes = []
+
+    def draw_batch(self, m):
+        self.sizes.append(m)
+        return super().draw_batch(m)
 
 
 class ScriptedEx:
@@ -253,9 +271,10 @@ class TestChunkedStageTwo:
 
     def test_matches_the_scalar_loop(self):
         """220 seeds over junta sizes 0..10 and ambient n up to 62; caps
-        None, 0, 1, inside the first chunk, at the stop index and one past
-        it."""
+        None, 0, 1, below the coverage target, between it and the first
+        chunk, past the first chunk, at the stop index and one past it."""
         rng = np.random.default_rng(71)
+        caps = np.random.default_rng(72)
         for seed in range(220):
             size = seed % 11
             n = int(rng.choice([max(size, 1) + 2, 20, 32, 33, 62]))
@@ -272,24 +291,21 @@ class TestChunkedStageTwo:
                 assert report.ex_calls == 1
             stop = report.ex_calls
             inside = int(rng.integers(1, needed)) if needed > 1 else 0
-            for cap in (0, 1, inside, stop, stop + 1):
+            first = first_chunk(1 << len(report.hypothesis.vars), needed)
+            between = int(caps.integers(needed, first + 1))
+            past = int(caps.integers(first + 1, 2 * first + 1))
+            for cap in (0, 1, inside, between, past, stop, stop + 1):
                 self.run_both(spec, k, eps, seed, cap)
 
     def test_no_chunk_goes_past_draws_max(self, monkeypatch):
         """With ``DRAWS_MAX`` set to 40, every batch stays at or under 40,
         and the report ends as uncapped."""
 
-        class SpyEx(ExOracle):
-            def draw_batch(self, m):
-                self.sizes.append(m)
-                return super().draw_batch(m)
-
         def run(seed):
             rng = make_rng(seed, "capped")
             spec = random_junta_spec(20, 5, rng)
             fs = FsOracle.from_junta(spec, rng)
             ex = SpyEx(spec, rng)
-            ex.sizes = []
             report = learn_junta(fs, ex, 5, 0.1)
             return report, ex.sizes
 
@@ -306,6 +322,64 @@ class TestChunkedStageTwo:
             assert report2.hypothesis.vars == report.hypothesis.vars
             assert np.array_equal(report2.hypothesis.entries,
                                   report.hypothesis.entries)
+
+
+    @pytest.mark.parametrize("k", [18, 19])
+    def test_no_chunk_goes_past_the_window(self, k):
+        """From 2^18 cells on, every batch stays at or under a quarter of
+        the cells, and the stage still stops inside its last batch."""
+        rng = make_rng(k, "window")
+        spec = random_junta_spec(k + 2, k, rng)
+        fs = FsOracle.from_junta(spec, rng)
+        ex = SpyEx(spec, rng)
+        report = learn_junta(fs, ex, k, 0.1)
+        assert report.status == SUCCESS
+        assert len(report.hypothesis.vars) == k
+        window = 1 << (k - 2)
+        assert max(ex.sizes) == window
+        # coverage is reached inside the last batch
+        assert sum(ex.sizes[:-1]) < report.ex_calls <= sum(ex.sizes)
+
+    def test_most_trials_end_inside_the_first_chunk(self):
+        """At the benchmark config (k = 8, n = 20, eps = 0.1), 400 seeded
+        trials draw at most 1.1 batches each, the first one sized from the
+        collector moments; chunks that start at the coverage target took
+        2.96."""
+        batches = 0
+        for seed in range(400):
+            rng = make_rng(seed, "chunks")
+            spec = random_junta_spec(20, 8, rng)
+            fs = FsOracle.from_junta(spec, rng)
+            ex = SpyEx(spec, rng)
+            report = learn_junta(fs, ex, 8, 0.1)
+            cells = 1 << len(report.hypothesis.vars)
+            assert ex.sizes[0] == first_chunk(cells, coverage_target(cells, 0.1))
+            batches += len(ex.sizes)
+        assert batches <= 1.1 * 400
+
+
+class TestCollectorMoments:
+    @pytest.mark.parametrize("cells, needed, mean", [
+        (256, 248, 872.06), (4096, 3960, 13932.80), (32, 29, 71.21)])
+    def test_mean_within_two_permille_of_the_exact_sum(self, cells, needed, mean):
+        exact = cells * sum(Fraction(1, cells - i) for i in range(needed))
+        assert round(float(exact), 2) == mean
+        assert _collector_moments(cells, needed)[0] == pytest.approx(mean, rel=0.002)
+
+    def test_sd_within_one_percent_of_the_exact_sum(self):
+        for cells, needed in ((32, 29), (256, 231), (256, 248), (4096, 3960)):
+            var = sum(Fraction(cells * i, (cells - i) ** 2) for i in range(needed))
+            assert _collector_moments(cells, needed)[1] == pytest.approx(
+                math.sqrt(var), rel=0.01)
+
+    def test_first_chunk_never_below_the_coverage_target(self):
+        for log_cells in range(25):
+            cells = 1 << log_cells
+            for i in range(1, 101):
+                needed = coverage_target(cells, i / 100)
+                mean, _ = _collector_moments(cells, needed)
+                assert mean >= needed
+                assert first_chunk(cells, needed) >= needed
 
 
 class TestCoverageTarget:
