@@ -323,7 +323,6 @@ class TestChunkedStageTwo:
             assert np.array_equal(report2.hypothesis.entries,
                                   report.hypothesis.entries)
 
-
     @pytest.mark.parametrize("k", [18, 19])
     def test_no_chunk_goes_past_the_window(self, k):
         """From 2^18 cells on, every batch stays at or under a quarter of
